@@ -15,8 +15,7 @@ from .errors import (CapacityError, ContractError, DetmatroidError,
 from .fields import DEFAULT_PRIME, PrimeField, Rationals, prev_prime
 from .grassmann import (PluckerVector, SparsePerp, complete_matrix, dual_sign,
                         p_phi, plucker_from_basis, section_form, sparse_perp)
-from .oracle import (NecessityReport, OracleVerdict, PrimeFieldMatrix,
-                     check_necessity, is_base, jacobian_rank, random_rank_r)
+from .oracle import OracleVerdict, is_base, jacobian_rank, random_rank_r
 from .partition import (PackingWitness, PartitionCertificate,
                         TruncationMatroid, certificate_from_groups,
                         dilworth_rank, pack_bases, parse_certificate,
@@ -41,14 +40,12 @@ __all__ = [
     "DEFAULT_PRIME",
     "DetmatroidError",
     "GenericityError",
-    "NecessityReport",
     "OracleVerdict",
     "PackingWitness",
     "ParseError",
     "PartitionCertificate",
     "PluckerVector",
     "PrimeField",
-    "PrimeFieldMatrix",
     "Rationals",
     "RelaxedParams",
     "Slmf",
@@ -58,7 +55,6 @@ __all__ = [
     "ViolationWitness",
     "canonical_form",
     "certificate_from_groups",
-    "check_necessity",
     "classify_pattern",
     "complete_matrix",
     "contains_full_bipartite",

@@ -32,6 +32,7 @@ from .slmf import RelaxedParams, is_relaxed_slmf
 
 ENUM_CELL_CEILING = 36
 CANON_ROW_CEILING = 8
+_SAMPLE_ATTEMPTS = 200_000
 
 
 def canonical_form(pattern: SupportPattern) -> SupportPattern:
@@ -157,12 +158,11 @@ def enumerate_patterns(m: int, n: int, r: int,
 
 def sample_patterns(m: int, n: int, r: int, count: int, seed: int,
                     filter: str = "base_size_and_mindeg",
-                    col_size: int | None = None,
-                    max_attempts: int = 200_000) -> list[SupportPattern]:
+                    col_size: int | None = None) -> list[SupportPattern]:
     """Random canonical patterns matching the filter (distinct orbits).
 
     Rejection sampling for grids beyond the exhaustive ceiling; returns up to
-    count patterns (fewer if attempts run out).
+    count patterns (fewer if _SAMPLE_ATTEMPTS draws run out).
     """
     import random
 
@@ -171,7 +171,7 @@ def sample_patterns(m: int, n: int, r: int, count: int, seed: int,
     target = r * (m + n - r)
     out: list[SupportPattern] = []
     seen: set[tuple[int, ...]] = set()
-    for _ in range(max_attempts):
+    for _ in range(_SAMPLE_ATTEMPTS):
         if len(out) >= count:
             break
         cols = []

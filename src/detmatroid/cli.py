@@ -3,8 +3,9 @@
 Subcommands expose the library's decision procedures with stable, scriptable
 I/O: stdout carries exactly one JSON document or one CSV table per run,
 diagnostics go to stderr, and the exit code is 0 for a positive answer, 1 for
-a negative answer, 2 for contract, capacity, or parse errors.  All commands
-accept --seed and are bit-reproducible given it.
+a negative answer, 2 for contract, capacity, or parse errors and for
+internal errors.  All commands accept --seed and are bit-reproducible given
+it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .census import known_facts_crosscheck, verify_conjecture
@@ -340,6 +342,11 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug: exit 1 would read as a negative answer
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
         return 2
 
 

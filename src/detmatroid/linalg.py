@@ -55,13 +55,20 @@ def mat_vec(a: list[list], x: list, field) -> list:
     return out
 
 
-def rank(a: list[list], field) -> int:
-    """Rank by forward elimination on a working copy."""
-    if not a:
-        return 0
+def _eliminate(a: list[list], field) -> tuple[list[list], list[int], int]:
+    """Forward elimination on a working copy.
+
+    Returns (echelon matrix, pivot columns, row swaps): row k holds the k-th
+    pivot at column pivots[k], with zeros below it; rows past the last pivot
+    are zero.
+    """
     m = [list(row) for row in a]
+    if not m:
+        return m, [], 0
     rows, cols = len(m), len(m[0])
     zero = field.zero
+    pivots = []
+    swaps = 0
     r = 0
     for c in range(cols):
         piv = None
@@ -71,7 +78,9 @@ def rank(a: list[list], field) -> int:
                 break
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
         inv = field.inv(m[r][c])
         prow = m[r]
         for i in range(r + 1, rows):
@@ -81,43 +90,32 @@ def rank(a: list[list], field) -> int:
                 mrow = m[i]
                 for j in range(c, cols):
                     mrow[j] = field.sub(mrow[j], field.mul(f, prow[j]))
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def rref(a: list[list], field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [list(row) for row in a]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    zero = field.zero
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, v) for v in m[r]]
-        prow = m[r]
-        for i in range(rows):
-            if i != r and m[i][c] != zero:
-                f = m[i][c]
-                mrow = m[i]
-                for j in range(c, cols):
-                    mrow[j] = field.sub(mrow[j], field.mul(f, prow[j]))
         pivots.append(c)
         r += 1
         if r == rows:
             break
+    return m, pivots, swaps
+
+
+def rank(a: list[list], field) -> int:
+    """Rank by forward elimination on a working copy."""
+    return len(_eliminate(a, field)[1])
+
+
+def rref(a: list[list], field) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    m, pivots, _ = _eliminate(a, field)
+    zero = field.zero
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        inv = field.inv(m[k][c])
+        m[k] = prow = [field.mul(inv, v) for v in m[k]]
+        for i in range(k):
+            f = m[i][c]
+            if f != zero:
+                mrow = m[i]
+                for j in range(c, len(prow)):
+                    mrow[j] = field.sub(mrow[j], field.mul(f, prow[j]))
     return m, pivots
 
 
@@ -156,35 +154,13 @@ def solve_unique(a: list[list], b: list, field) -> list | None:
 
 def det(a: list[list], field):
     """Determinant by elimination with row-swap sign tracking; det([]) = 1."""
-    n = len(a)
-    if n == 0:
-        return field.one
-    m = [list(row) for row in a]
-    zero = field.zero
-    sign_flip = False
+    m, pivots, swaps = _eliminate(a, field)
+    if len(pivots) < len(a):
+        return field.zero
     acc = field.one
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != zero:
-                piv = i
-                break
-        if piv is None:
-            return zero
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign_flip = not sign_flip
-        acc = field.mul(acc, m[c][c])
-        inv = field.inv(m[c][c])
-        prow = m[c]
-        for i in range(c + 1, n):
-            f = m[i][c]
-            if f != zero:
-                f = field.mul(f, inv)
-                mrow = m[i]
-                for j in range(c, n):
-                    mrow[j] = field.sub(mrow[j], field.mul(f, prow[j]))
-    return field.neg(acc) if sign_flip else acc
+    for k in range(len(a)):
+        acc = field.mul(acc, m[k][k])
+    return field.neg(acc) if swaps % 2 else acc
 
 
 def submatrix(a: list[list], row_idx, col_idx) -> list[list]:

@@ -21,46 +21,16 @@ from .errors import CapacityError, ContractError
 from .fields import DEFAULT_PRIME, PrimeField
 from .patterns import SupportPattern
 from .seeding import derive_seed
-from .slmf import RelaxedParams, ViolationWitness, is_relaxed_slmf
 
 DEFAULT_TRIALS = 3
 _PROJECTION_CHECK_CEILING = 100_000
 _RESAMPLE_ATTEMPTS = 200
 
 
-@dataclass(frozen=True)
-class PrimeFieldMatrix:
-    """Dense matrix over GF(p) with entries reduced into [0, p)."""
-
-    p: int
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise ContractError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ContractError("column count mismatch")
-            if any(not 0 <= v < self.p for v in row):
-                raise ContractError("entry not reduced mod %d" % self.p)
-
-    @classmethod
-    def from_rows(cls, p: int, rows) -> "PrimeFieldMatrix":
-        ent = tuple(tuple(v % p for v in row) for row in rows)
-        return cls(p, len(ent), len(ent[0]) if ent else 0, ent)
-
-    def rank(self) -> int:
-        return linalg.rank([list(r) for r in self.entries], PrimeField(self.p))
-
-    def as_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
-
 def random_rank_r(m: int, n: int, r: int, p: int = DEFAULT_PRIME,
-                  seed: int = 0) -> PrimeFieldMatrix:
-    """Random X = L*R of rank exactly r over GF(p), generic column space.
+                  seed: int = 0) -> list[list[int]]:
+    """Random X = L*R of rank exactly r over GF(p), generic column space,
+    as rows of residues in [0, p).
 
     Resamples until rank(X) = r and every projection of the column space onto
     r coordinates is full-rank (equivalently all r-row minors of L are
@@ -70,7 +40,7 @@ def random_rank_r(m: int, n: int, r: int, p: int = DEFAULT_PRIME,
         raise ContractError("need 0 <= r <= min(m,n), got r=%d" % r)
     field = PrimeField(p)
     if r == 0:
-        return PrimeFieldMatrix.from_rows(p, [[0] * n for _ in range(m)])
+        return [[0] * n for _ in range(m)]
     if p < 2 * r:
         raise ContractError("p=%d too small for rank %d sampling" % (p, r))
     if math.comb(m, r) > _PROJECTION_CHECK_CEILING:
@@ -90,7 +60,7 @@ def random_rank_r(m: int, n: int, r: int, p: int = DEFAULT_PRIME,
         right = linalg.random_matrix(r, n, field, rng)
         if linalg.rank(right, field) != r:
             continue
-        return PrimeFieldMatrix.from_rows(p, linalg.mat_mul(left, right, field))
+        return linalg.mat_mul(left, right, field)
     raise ContractError("could not sample a generic rank-%d matrix over GF(%d)"
                         % (r, p))
 
@@ -184,41 +154,3 @@ def is_base(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     else:
         verdict = "not_base"  # more cells than the variety dimension
     return OracleVerdict(verdict, ran, p, best, size, dim)
-
-
-@dataclass(frozen=True)
-class NecessityReport:
-    """Cross-check of the oracle against the relaxed counting condition.
-
-    A base must be a relaxed (r,r,m)-SLMF, so oracle=base together with
-    relaxed=False is a red flag (an implementation bug or an oracle false
-    positive).
-    """
-
-    consistent: bool
-    oracle: OracleVerdict
-    relaxed: bool
-    witness: ViolationWitness | None
-    message: str
-
-    def as_dict(self) -> dict:
-        return {
-            "consistent": self.consistent,
-            "oracle": self.oracle.as_dict(),
-            "relaxed": self.relaxed,
-            "witness": self.witness.as_dict() if self.witness else None,
-            "message": self.message,
-        }
-
-
-def check_necessity(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
-                    trials: int = DEFAULT_TRIALS, seed: int = 0) -> NecessityReport:
-    verdict = is_base(pattern, r, p, trials, seed)
-    relaxed, witness = is_relaxed_slmf(pattern, RelaxedParams(r, r))
-    if verdict.verdict == "base" and not relaxed:
-        return NecessityReport(
-            False, verdict, relaxed, witness,
-            "red flag: oracle reports a base but the pattern is not a "
-            "relaxed (%d,%d,%d)-SLMF" % (r, r, pattern.m),
-        )
-    return NecessityReport(True, verdict, relaxed, witness, "consistent")

@@ -262,12 +262,7 @@ def truncation_independent(mat: TruncationMatroid, subset) -> bool:
             "#J=%d exceeds the partition-enumeration ceiling %d"
             % (jmask.bit_count(), DILWORTH_CEILING)
         )
-    sub = jmask
-    while sub:
-        if sub.bit_count() > mat.f(sub):
-            return False
-        sub = (sub - 1) & jmask
-    return True
+    return _independent_mask(mat, jmask)
 
 
 @dataclass(frozen=True)
@@ -392,9 +387,9 @@ def partition_search(
     distinct partition is visited once).  A partial group is pruned unless
     every subset S of it satisfies sum of excesses over S <= #(union) - r,
     a consequence of the relaxed condition, and unless its total excess stays
-    within m-r.  Surviving leaves are revalidated with the full relaxed check
-    before a certificate is built.  None means the search was exhaustive and
-    no partition exists.
+    within m-r.  A surviving leaf yields a certificate only if building it
+    passes, which runs the full relaxed check on every group.  None means the
+    search was exhaustive and no partition exists.
     """
     m, n = pattern.m, pattern.n
     if r < 1 or r >= m:
@@ -434,12 +429,12 @@ def partition_search(
         for g in range(r):
             if group_excess[g] != quota:
                 return None
-        groups = groups_of()
-        for g in groups:
-            ok, _ = is_relaxed_slmf(pattern, RelaxedParams(1, r, tuple(g)))
-            if not ok:
-                return None
-        return certificate_from_groups(pattern, r, groups)
+        try:
+            return certificate_from_groups(pattern, r, groups_of())
+        except ContractError as exc:
+            if exc.witness is None:
+                raise
+            return None  # a group fails the relaxed check
 
     def search(k: int, used: int) -> PartitionCertificate | None:
         if k == n:

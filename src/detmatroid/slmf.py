@@ -90,21 +90,20 @@ def _selected_masks(pattern: SupportPattern, params: RelaxedParams) -> list[int]
 def is_relaxed_slmf(
     pattern: SupportPattern,
     params: RelaxedParams,
-    scan_ceiling: int = RELAXED_SCAN_CEILING,
 ) -> tuple[bool, ViolationWitness | None]:
     """Decide the relaxed (nu,r,m) condition by scanning all row subsets.
 
     Returns (True, None) or (False, witness); the witness row set is minimal
     in size and lexicographically least among that size.  Requires r < m
-    (no row subset of size r+1 exists otherwise) and m <= scan_ceiling.
+    (no row subset of size r+1 exists otherwise) and m <= RELAXED_SCAN_CEILING.
     """
     r, nu = params.r, params.nu
     if r >= pattern.m:
         raise ContractError("relaxed check needs r < m, got r=%d m=%d"
                             % (r, pattern.m))
-    if pattern.m > scan_ceiling:
+    if pattern.m > RELAXED_SCAN_CEILING:
         raise CapacityError("m=%d exceeds the subset-scan ceiling %d"
-                            % (pattern.m, scan_ceiling))
+                            % (pattern.m, RELAXED_SCAN_CEILING))
     masks = _selected_masks(pattern, params)
     m = pattern.m
     for k in range(r + 1, m + 1):

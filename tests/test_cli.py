@@ -10,10 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (FULLY_REDUCIBLE_BASE_6X5, RELAXED_NONBASE_5X5,
-                      SLMF_6X4_COLUMNS, UNPARTITIONABLE_BASE_6X5, make_pattern)
-from detmatroid import (certificate_from_groups, emit_pattern,
+from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
+                      RELAXED_NONBASE_5X5, SLMF_6X4_COLUMNS,
+                      UNPARTITIONABLE_BASE_6X5, make_pattern)
+from detmatroid import (OracleVerdict, ViolationWitness,
+                        certificate_from_groups, emit_pattern,
                         partition_search, random_rank_r)
+from detmatroid import cli
 from detmatroid.cli import main
 
 
@@ -166,6 +169,51 @@ def test_certify_contract_error_exits_two(tmp_path, capsys):
     assert code == 2 and out == "" and err
 
 
+def _reject_relaxed(pattern, params):
+    return False, ViolationWitness((1, 2, 3), 2, 1, "inequality_violated")
+
+
+def _reduced_base_certificate(pattern, r):
+    return certificate_from_groups(make_pattern(5, REDUCED_BASE_5X5), 2,
+                                   [[1, 3, 4], [2, 5]])
+
+
+def _refute_base(pattern, r, p, trials, seed):
+    return OracleVerdict("not_base", trials, p, 17, 18, 18)
+
+
+@pytest.mark.parametrize("columns, m, name, fake, line", [
+    # the oracle certifies a base that the relaxed check rejects
+    (FULLY_REDUCIBLE_BASE_6X5, 6, "is_relaxed_slmf", _reject_relaxed,
+     "necessity contradiction at r=2"),
+    # a partition certificate for a pattern the oracle refutes
+    (RELAXED_NONBASE_5X5, 5, "partition_search", _reduced_base_certificate,
+     "sufficiency contradiction at r=2"),
+    (FULLY_REDUCIBLE_BASE_6X5, 6, "is_base", _refute_base,
+     "sufficiency contradiction at r=2"),
+], ids=["necessity", "sufficiency-partition", "sufficiency-oracle"])
+def test_certify_contradiction_exits_two(tmp_path, capsys, monkeypatch,
+                                         columns, m, name, fake, line):
+    path = _write_pattern(tmp_path, "p.txt", m, columns)
+    monkeypatch.setattr(cli, name, fake)
+    code, out, err = _run(capsys, ["certify", "--pattern", path, "--r", "2"])
+    assert code == 2
+    assert "bug" in json.loads(out)
+    assert line in err
+
+
+def test_unexpected_exception_exits_two(tmp_path, capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check_slmf", boom)
+    path = _write_pattern(tmp_path, "phi.txt", 6, SLMF_6X4_COLUMNS)
+    code, out, err = _run(capsys, ["check-slmf", "--pattern", path, "--r", "2"])
+    assert code == 2
+    assert out == ""
+    assert "internal error: RuntimeError: boom" in err
+
+
 def _completion_files(tmp_path, seed=0):
     pattern = make_pattern(6, FULLY_REDUCIBLE_BASE_6X5)
     ppath = tmp_path / "pattern.json"
@@ -174,7 +222,7 @@ def _completion_files(tmp_path, seed=0):
     cpath = tmp_path / "cert.json"
     cpath.write_text(cert.to_json())
     x = random_rank_r(6, 5, 2, seed=seed)
-    lines = ["%d,%d,%d" % (i, j, x.entries[i - 1][j - 1])
+    lines = ["%d,%d,%d" % (i, j, x[i - 1][j - 1])
              for (i, j) in pattern.cells()]
     opath = tmp_path / "obs.csv"
     opath.write_text("\n".join(lines) + "\n")
@@ -189,7 +237,7 @@ def test_complete_round_trips_exactly(tmp_path, capsys):
     assert code == 0, err
     rows = list(csv.reader(io.StringIO(out)))
     got = [[int(v) for v in row] for row in rows]
-    assert got == x.as_lists()
+    assert got == x
 
 
 def test_complete_over_rationals(tmp_path, capsys):
@@ -236,7 +284,7 @@ def test_complete_degenerate_observations_exit_one(tmp_path, capsys):
     cpath = tmp_path / "cert.json"
     cpath.write_text(partition_search(pattern, 2).to_json())
     x = random_rank_r(6, 5, 1, seed=6)
-    lines = ["%d,%d,%d" % (i, j, x.entries[i - 1][j - 1])
+    lines = ["%d,%d,%d" % (i, j, x[i - 1][j - 1])
              for (i, j) in pattern.cells()]
     opath = tmp_path / "obs.csv"
     opath.write_text("\n".join(lines) + "\n")

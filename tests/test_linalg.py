@@ -55,10 +55,17 @@ def test_rank_matches_brute_force():
 def test_det_matches_leibniz_and_rules():
     rng = random.Random(4)
     f = PrimeField(101)
-    for n in range(1, 5):
-        for _ in range(20):
-            a = _random_matrix(n, n, f, rng)
-            assert det([r[:] for r in a], f) == _det_leibniz(a, f)
+    for field in (f, Rationals()):
+        for n in range(1, 5):
+            for _ in range(20):
+                a = _random_matrix(n, n, field, rng)
+                assert det([r[:] for r in a], field) == _det_leibniz(a, field)
+            # rank-deficient L*R: elimination runs out of pivots
+            for k in range(1, n):
+                a = mat_mul(_random_matrix(n, k, field, rng),
+                            _random_matrix(k, n, field, rng), field)
+                assert _det_leibniz(a, field) == field.zero
+                assert det([r[:] for r in a], field) == field.zero
     a = _random_matrix(3, 3, f, rng)
     b = _random_matrix(3, 3, f, rng)
     assert det(mat_mul(a, b, f), f) == f.mul(det([r[:] for r in a], f),
@@ -71,15 +78,17 @@ def test_det_matches_leibniz_and_rules():
 
 def test_rref_pivots_are_unit_columns():
     rng = random.Random(5)
-    f = PrimeField(11)
-    for _ in range(40):
-        a = _random_matrix(rng.randint(1, 5), rng.randint(1, 5), f, rng)
-        red, pivots = rref([r[:] for r in a], f)
-        for k, pc in enumerate(pivots):
-            col = [red[i][pc] for i in range(len(red))]
-            assert col[k] == f.one
-            assert all(v == f.zero for i, v in enumerate(col) if i != k)
-        assert len(pivots) == rank([r[:] for r in a], f)
+    for f in (PrimeField(11), Rationals()):
+        for _ in range(40):
+            a = _random_matrix(rng.randint(1, 5), rng.randint(1, 5), f, rng)
+            red, pivots = rref([r[:] for r in a], f)
+            for k, pc in enumerate(pivots):
+                col = [red[i][pc] for i in range(len(red))]
+                assert col[k] == f.one
+                assert all(v == f.zero for i, v in enumerate(col) if i != k)
+            assert len(pivots) == rank([r[:] for r in a], f)
+            assert rref([r[:] for r in red], f) == (red, pivots)
+            assert rank(a + red, f) == len(pivots)
 
 
 def test_right_kernel_annihilates_and_spans():

@@ -8,16 +8,21 @@ from itertools import combinations
 import pytest
 
 from conftest import make_pattern
-from detmatroid import (CapacityError, ContractError, check_necessity,
-                        is_base, jacobian_rank, random_rank_r)
+from detmatroid import (DEFAULT_PRIME, CapacityError, ContractError,
+                        PrimeField, is_base, jacobian_rank, random_rank_r)
+from detmatroid.linalg import rank
 
 
 def test_random_rank_r_has_exact_rank():
+    field = PrimeField(DEFAULT_PRIME)
     for seed in range(10):
         x = random_rank_r(5, 6, 2, seed=seed)
-        assert x.rank() == 2
-    assert random_rank_r(4, 4, 0).rank() == 0
-    assert random_rank_r(3, 3, 3, seed=1).rank() == 3
+        assert rank(x, field) == 2
+        assert len(x) == 5
+        assert all(len(row) == 6 for row in x)
+        assert all(0 <= v < DEFAULT_PRIME for row in x for v in row)
+    assert rank(random_rank_r(4, 4, 0), field) == 0
+    assert rank(random_rank_r(3, 3, 3, seed=1), field) == 3
 
 
 def test_random_rank_r_is_deterministic_per_seed():
@@ -113,9 +118,3 @@ def test_is_base_contract_errors():
     with pytest.raises(ContractError):
         is_base(p, -1)
 
-
-def test_necessity_check_is_consistent_on_fixtures(fully_reducible_base,
-                                                   relaxed_nonbase):
-    for p in (fully_reducible_base, relaxed_nonbase):
-        report = check_necessity(p, 2)
-        assert report.consistent

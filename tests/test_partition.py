@@ -184,3 +184,43 @@ def test_search_random_certificates_always_validate():
         found += 1
         validate_certificate(p, cert)
     assert found > 0
+
+
+def _labellings(n, r):
+    """Each split of columns 1..n into r non-empty groups, once."""
+    def rec(labels, used):
+        if len(labels) == n:
+            if used == r:
+                yield [tuple(j + 1 for j in range(n) if labels[j] == g)
+                       for g in range(r)]
+            return
+        for g in range(min(used + 1, r)):
+            labels.append(g)
+            yield from rec(labels, max(used, g + 1))
+            labels.pop()
+
+    yield from rec([], 0)
+
+
+def test_search_matches_brute_force_labelling():
+    rng = random.Random(21)
+    for m, n, r in ((5, 5, 2), (6, 6, 2), (6, 5, 3)):
+        target = r * (m + n - r)
+        outcomes = set()
+        for _ in range(100):
+            sizes = [m + 1] * n
+            while sum(sizes) != target:
+                sizes = [rng.randint(r, m) for _ in range(n)]
+            p = make_pattern(m, [sorted(rng.sample(range(1, m + 1), s))
+                                 for s in sizes])
+            exists = any(
+                all(is_relaxed_slmf(p, RelaxedParams(1, r, g))[0]
+                    for g in groups)
+                for groups in _labellings(n, r)
+            )
+            cert = partition_search(p, r)
+            assert (cert is not None) == exists, (m, n, r, p.cols)
+            if cert is not None:
+                validate_certificate(p, cert)
+            outcomes.add(exists)
+        assert outcomes == {True, False}
