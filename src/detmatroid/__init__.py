@@ -7,7 +7,7 @@ and uniquely complete observed entries in the certified regime.
 """
 
 from .census import (CensusReport, CensusRow, CrosscheckReport, canonical_form,
-                     classify_pattern, contains_full_bipartite,
+                     certify, classify_pattern, contains_full_bipartite,
                      enumerate_patterns, is_spanning_tree,
                      known_facts_crosscheck, sample_patterns, verify_conjecture)
 from .errors import (CapacityError, ContractError, DetmatroidError,
@@ -55,6 +55,7 @@ __all__ = [
     "ViolationWitness",
     "canonical_form",
     "certificate_from_groups",
+    "certify",
     "classify_pattern",
     "complete_matrix",
     "contains_full_bipartite",

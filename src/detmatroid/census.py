@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 
 from .errors import CapacityError, ContractError
 from .fields import DEFAULT_PRIME, prev_prime
-from .oracle import DEFAULT_TRIALS, OracleVerdict, is_base
+from .oracle import DEFAULT_TRIALS, is_base
 from .partition import partition_search
 from .patterns import (SupportPattern, degrees, emit_pattern, reduce_pattern,
                        transpose)
@@ -205,7 +205,6 @@ class CensusRow:
     has_partition: bool
     oracle_base: bool
     witness: dict | None
-    oracle: OracleVerdict | None
     reduction_log: tuple = ()
 
     @property
@@ -230,36 +229,99 @@ class CensusRow:
         }
 
 
+def certify(pattern: SupportPattern, r: int, prime: int = DEFAULT_PRIME,
+            trials: int = DEFAULT_TRIALS, seed: int = 0) -> dict:
+    """The certification pipeline; returns the payload the CLI prints.
+
+    Stages: size gate (a wrong size stops here), relaxed (r,r,m) condition,
+    reduction, partition search (on the input, then on the reduction, or
+    "trivial" when it empties the pattern) and rank oracle.  The payload ends
+    with "certified" (plus "reason" when negative), or with "bug" when an
+    oracle base fails the relaxed condition or the oracle refutes a partition.
+    """
+    m, n = pattern.m, pattern.n
+    size = pattern.size()
+    dim = r * (m + n - r)
+    stages: dict = {"size": {"ok": size == dim, "size": size, "dimension": dim}}
+    payload = {"m": m, "n": n, "r": r, "stages": stages}
+    if size != dim:
+        payload.update(certified=False, reason="size")
+        return payload
+    relaxed_ok, violation = is_relaxed_slmf(pattern, RelaxedParams(r, r))
+    stages["relaxed"] = {
+        "ok": relaxed_ok,
+        "witness": violation.as_dict() if violation is not None else None,
+    }
+    reduced, log = reduce_pattern(pattern, r)
+    stages["reduction"] = {
+        "steps": [list(step) for step in log],
+        "reduced_m": reduced.m,
+        "reduced_n": reduced.n,
+        "reduced_size": reduced.size(),
+    }
+    cert = partition_search(pattern, r)
+    part_on = "input"
+    if cert is None and log:
+        if reduced.size() == 0:
+            part_on = "trivial"
+        elif r < reduced.m and r <= reduced.n:
+            cert = partition_search(reduced, r)
+            if cert is not None:
+                part_on = "reduced"
+    partition_ok = cert is not None or part_on == "trivial"
+    stages["partition"] = {
+        "ok": partition_ok,
+        "on": part_on if partition_ok else None,
+        "certificate": cert.as_dict() if cert is not None else None,
+    }
+    verdict = is_base(pattern, r, prime, trials, seed)
+    oracle_ok = verdict.verdict == "base"
+    stages["oracle"] = verdict.as_dict()
+
+    if oracle_ok and not relaxed_ok:
+        payload["bug"] = ("oracle certifies a base but the necessary relaxed "
+                          "counting condition fails; please report")
+    elif partition_ok and not oracle_ok:
+        payload["bug"] = ("a partition certificate exists but the rank oracle "
+                          "refutes the base; please report")
+    else:
+        certified = relaxed_ok and partition_ok and oracle_ok
+        payload["certified"] = certified
+        if not certified:
+            payload["reason"] = ("relaxed" if not relaxed_ok
+                                 else "partition" if not partition_ok
+                                 else "oracle")
+    return payload
+
+
 def classify_pattern(pattern: SupportPattern, r: int, prime: int = DEFAULT_PRIME,
                      trials: int = DEFAULT_TRIALS, seed: int = 0) -> CensusRow:
     """Classify a pattern after reduction, recording the reduction log.
 
     Stripping size-r columns and degree-r rows preserves independence and
-    base-ness, so the reduced pattern carries the classification; a pattern
-    that reduces to nothing is a base trivially.
+    base-ness, so the reduced pattern carries the classification, read from
+    its certify() stages.  A base-size pattern that reduces to nothing is a
+    base trivially; a pattern of the wrong size is negative on all three
+    routes.
     """
     reduced, log = reduce_pattern(pattern, r)
-    pat_seed = derive_seed(seed, "census:%s" % emit_pattern(pattern, "json"))
-    if reduced.size() == 0:
+    if reduced.size() == 0 and pattern.size() == r * (pattern.m + pattern.n - r):
         return CensusRow(pattern, r, True, True, True,
-                         {"trivial": "reduced to an empty pattern"},
-                         None, log)
-    if r >= reduced.m or r > reduced.n:
-        raise ContractError(
-            "reduced pattern is %dx%d; classification needs r < m and r <= n"
-            % (reduced.m, reduced.n)
-        )
-    relaxed, violation = is_relaxed_slmf(reduced, RelaxedParams(r, r))
-    cert = partition_search(reduced, r)
-    verdict = is_base(reduced, r, prime, trials, pat_seed)
-    if not relaxed:
-        witness = {"violation": violation.as_dict()}
-    elif cert is not None:
-        witness = {"partition": cert.as_dict()}
+                         {"trivial": "reduced to an empty pattern"}, log)
+    pat_seed = derive_seed(seed, "census:%s" % emit_pattern(pattern, "json"))
+    stages = certify(reduced, r, prime, trials, pat_seed)["stages"]
+    if not stages["size"]["ok"]:
+        return CensusRow(pattern, r, False, False, False,
+                         {"size": stages["size"]}, log)
+    relaxed, partition = stages["relaxed"], stages["partition"]
+    if not relaxed["ok"]:
+        witness = {"violation": relaxed["witness"]}
+    elif partition["ok"]:
+        witness = {"partition": partition["certificate"]}
     else:
         witness = None
-    return CensusRow(pattern, r, relaxed, cert is not None,
-                     verdict.verdict == "base", witness, verdict, log)
+    return CensusRow(pattern, r, relaxed["ok"], partition["ok"],
+                     stages["oracle"]["verdict"] == "base", witness, log)
 
 
 @dataclass(frozen=True)
@@ -270,8 +332,7 @@ class CensusReport:
 
 
 def _classify_job(args):
-    pattern, r, prime, trials, seed = args
-    return classify_pattern(pattern, r, prime, trials, seed)
+    return classify_pattern(*args)
 
 
 def _reverify_oracle(pattern: SupportPattern, r: int, prime: int,

@@ -17,13 +17,13 @@ import sys
 import traceback
 from pathlib import Path
 
-from .census import known_facts_crosscheck, verify_conjecture
-from .errors import ContractError, DetmatroidError, GenericityError, ParseError
+from .census import certify, known_facts_crosscheck, verify_conjecture
+from .errors import DetmatroidError, GenericityError, ParseError
 from .fields import DEFAULT_PRIME, PrimeField, Rationals
 from .grassmann import complete_matrix
-from .oracle import DEFAULT_TRIALS, is_base
+from .oracle import DEFAULT_TRIALS
 from .partition import parse_certificate, partition_search, validate_certificate
-from .patterns import Slmf, parse_pattern, reduce_pattern
+from .patterns import Slmf, parse_pattern
 from .slmf import (RelaxedParams, is_relaxed_slmf, is_slmf,
                    is_slmf_via_matching)
 
@@ -93,74 +93,16 @@ def cmd_partition(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    pattern = _load_pattern(args)
-    r = args.r
-    m, n = pattern.m, pattern.n
-    size = pattern.size()
-    dim = r * (m + n - r)
-    stages: dict = {"size": {"ok": size == dim, "size": size, "dimension": dim}}
-    payload = {"m": m, "n": n, "r": r, "stages": stages}
-    if size != dim:
-        payload["certified"] = False
-        payload["reason"] = "size"
-        _emit_json(payload)
-        return 1
-
-    relaxed_ok, violation = is_relaxed_slmf(pattern, RelaxedParams(r, r))
-    stages["relaxed"] = {
-        "ok": relaxed_ok,
-        "witness": violation.as_dict() if violation is not None else None,
-    }
-
-    reduced, log = reduce_pattern(pattern, r)
-    stages["reduction"] = {
-        "steps": [list(step) for step in log],
-        "reduced_m": reduced.m,
-        "reduced_n": reduced.n,
-        "reduced_size": reduced.size(),
-    }
-
-    cert = partition_search(pattern, r)
-    part_on = "input"
-    if cert is None and log:
-        if reduced.size() == 0:
-            part_on = "trivial"
-        elif r < reduced.m and r <= reduced.n:
-            cert = partition_search(reduced, r)
-            if cert is not None:
-                part_on = "reduced"
-    partition_ok = cert is not None or part_on == "trivial"
-    stages["partition"] = {
-        "ok": partition_ok,
-        "on": part_on if partition_ok else None,
-        "certificate": cert.as_dict() if cert is not None else None,
-    }
-
-    verdict = is_base(pattern, r, args.prime, args.trials, args.seed)
-    oracle_ok = verdict.verdict == "base"
-    stages["oracle"] = verdict.as_dict()
-
-    if oracle_ok and not relaxed_ok:
-        payload["bug"] = ("oracle certifies a base but the necessary relaxed "
-                          "counting condition fails; please report")
-        _emit_json(payload)
-        print("necessity contradiction at r=%d" % r, file=sys.stderr)
-        return 2
-    if partition_ok and not oracle_ok:
-        payload["bug"] = ("a partition certificate exists but the rank oracle "
-                          "refutes the base; please report")
-        _emit_json(payload)
-        print("sufficiency contradiction at r=%d" % r, file=sys.stderr)
-        return 2
-
-    certified = relaxed_ok and partition_ok and oracle_ok
-    payload["certified"] = certified
-    if not certified:
-        payload["reason"] = ("relaxed" if not relaxed_ok
-                             else "partition" if not partition_ok
-                             else "oracle")
+    payload = certify(_load_pattern(args), args.r, args.prime, args.trials,
+                      args.seed)
     _emit_json(payload)
-    return 0 if certified else 1
+    if "bug" in payload:
+        # only the necessity check fires on an oracle base
+        kind = ("necessity" if payload["stages"]["oracle"]["verdict"] == "base"
+                else "sufficiency")
+        print("%s contradiction at r=%d" % (kind, args.r), file=sys.stderr)
+        return 2
+    return 0 if payload["certified"] else 1
 
 
 def _parse_observations(text: str, field) -> dict:
@@ -217,13 +159,8 @@ def cmd_verify_conjecture(args) -> int:
         out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(CENSUS_FIELDS)
         for row in report.rows:
-            d = row.as_dict()
-            out.writerow([
-                d["m"], d["n"], d["r"], json.dumps(d["columns"]),
-                json.dumps(d["is_relaxed_rrm"]), json.dumps(d["has_partition"]),
-                json.dumps(d["oracle_base"]), json.dumps(row.consistent),
-                json.dumps(d["reduction_log"]), json.dumps(d["witness"]),
-            ])
+            d = dict(row.as_dict(), consistent=row.consistent)
+            out.writerow([json.dumps(d[key]) for key in CENSUS_FIELDS])
     if not report.consistent:
         print("%d counterexample candidate(s) survived re-verification"
               % len(report.counterexamples), file=sys.stderr)

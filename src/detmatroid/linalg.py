@@ -55,19 +55,20 @@ def mat_vec(a: list[list], x: list, field) -> list:
     return out
 
 
-def _eliminate(a: list[list], field) -> tuple[list[list], list[int], int]:
+def _eliminate(a: list[list], field) -> tuple[list[list], list[int], int, list]:
     """Forward elimination on a working copy.
 
-    Returns (echelon matrix, pivot columns, row swaps): row k holds the k-th
-    pivot at column pivots[k], with zeros below it; rows past the last pivot
-    are zero.
+    Returns (echelon matrix, pivot columns, row swaps, pivot inverses): row k
+    holds the k-th pivot at column pivots[k], with zeros below it and inverse
+    inverses[k]; rows past the last pivot are zero.
     """
     m = [list(row) for row in a]
     if not m:
-        return m, [], 0
+        return m, [], 0, []
     rows, cols = len(m), len(m[0])
     zero = field.zero
     pivots = []
+    inverses = []
     swaps = 0
     r = 0
     for c in range(cols):
@@ -91,10 +92,11 @@ def _eliminate(a: list[list], field) -> tuple[list[list], list[int], int]:
                 for j in range(c, cols):
                     mrow[j] = field.sub(mrow[j], field.mul(f, prow[j]))
         pivots.append(c)
+        inverses.append(inv)
         r += 1
         if r == rows:
             break
-    return m, pivots, swaps
+    return m, pivots, swaps, inverses
 
 
 def rank(a: list[list], field) -> int:
@@ -104,12 +106,12 @@ def rank(a: list[list], field) -> int:
 
 def rref(a: list[list], field) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m, pivots, _ = _eliminate(a, field)
+    m, pivots, _, inverses = _eliminate(a, field)
     zero = field.zero
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
-        inv = field.inv(m[k][c])
-        m[k] = prow = [field.mul(inv, v) for v in m[k]]
+        # later rows changed row k only right of column c: inverse still holds
+        m[k] = prow = [field.mul(inverses[k], v) for v in m[k]]
         for i in range(k):
             f = m[i][c]
             if f != zero:
@@ -154,7 +156,7 @@ def solve_unique(a: list[list], b: list, field) -> list | None:
 
 def det(a: list[list], field):
     """Determinant by elimination with row-swap sign tracking; det([]) = 1."""
-    m, pivots, swaps = _eliminate(a, field)
+    m, pivots, swaps, _ = _eliminate(a, field)
     if len(pivots) < len(a):
         return field.zero
     acc = field.one

@@ -387,9 +387,11 @@ def partition_search(
     distinct partition is visited once).  A partial group is pruned unless
     every subset S of it satisfies sum of excesses over S <= #(union) - r,
     a consequence of the relaxed condition, and unless its total excess stays
-    within m-r.  A surviving leaf yields a certificate only if building it
-    passes, which runs the full relaxed check on every group.  None means the
-    search was exhaustive and no partition exists.
+    within m-r.  At a leaf where every group meets the quota, the subset
+    prune implies the relaxed condition for each group (the worst row set is
+    always a union of group columns), so the leaf is a certificate; building
+    it re-runs the relaxed check as a safety check, and a failure there
+    raises.  None means the search was exhaustive and no partition exists.
     """
     m, n = pattern.m, pattern.n
     if r < 1 or r >= m:
@@ -429,12 +431,7 @@ def partition_search(
         for g in range(r):
             if group_excess[g] != quota:
                 return None
-        try:
-            return certificate_from_groups(pattern, r, groups_of())
-        except ContractError as exc:
-            if exc.witness is None:
-                raise
-            return None  # a group fails the relaxed check
+        return certificate_from_groups(pattern, r, groups_of())
 
     def search(k: int, used: int) -> PartitionCertificate | None:
         if k == n:

@@ -11,7 +11,7 @@ from conftest import (RELAXED_NONBASE_5X5, REDUCED_BASE_5X5,
                       UNPARTITIONABLE_BASE_6X5, make_pattern)
 from detmatroid import (CapacityError, ContractError, SupportPattern,
                         canonical_form, classify_pattern,
-                        contains_full_bipartite, enumerate_patterns,
+                        contains_full_bipartite, enumerate_patterns, is_base,
                         is_spanning_tree, known_facts_crosscheck,
                         sample_patterns, verify_conjecture)
 
@@ -141,6 +141,25 @@ def test_census_parallel_jobs_match_serial():
     parallel = verify_conjecture(5, 5, 2, jobs=2)
     assert serial.rows == parallel.rows
     assert serial.consistent == parallel.consistent
+
+
+@pytest.mark.parametrize("m, n, r", [(3, 3, 1), (3, 4, 2)])
+def test_census_filter_all_is_consistent(m, n, r):
+    # unfiltered grids hold wrong-size orbits, some reducing to nothing and
+    # some to patterns too small to classify: none of them is a base
+    report = verify_conjecture(m, n, r, filter="all")
+    assert report.consistent
+    dim = r * (m + n - r)
+    sizes = {row.pattern.size() == dim for row in report.rows}
+    assert sizes == {True, False}
+    for row in report.rows:
+        if row.oracle_base:
+            assert is_base(row.pattern, r).verdict == "base"
+        if row.pattern.size() != dim:
+            assert not (row.is_relaxed_rrm or row.has_partition
+                        or row.oracle_base)
+            # like every census witness, it describes the reduced pattern
+            assert row.witness["size"]["ok"] is False
 
 
 def test_graph_predicates():

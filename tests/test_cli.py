@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -13,10 +14,11 @@ import pytest
 from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
                       RELAXED_NONBASE_5X5, SLMF_6X4_COLUMNS,
                       UNPARTITIONABLE_BASE_6X5, make_pattern)
-from detmatroid import (OracleVerdict, ViolationWitness,
-                        certificate_from_groups, emit_pattern,
+from detmatroid import (DEFAULT_PRIME, OracleVerdict, ViolationWitness,
+                        certificate_from_groups, certify, emit_pattern,
                         partition_search, random_rank_r)
-from detmatroid import cli
+from detmatroid.oracle import DEFAULT_TRIALS
+from detmatroid import census, cli
 from detmatroid.cli import main
 
 
@@ -169,6 +171,22 @@ def test_certify_contract_error_exits_two(tmp_path, capsys):
     assert code == 2 and out == "" and err
 
 
+@pytest.mark.parametrize("m, columns, r", [
+    (6, FULLY_REDUCIBLE_BASE_6X5, 1),  # the README's omega.txt
+    (6, FULLY_REDUCIBLE_BASE_6X5, 2),
+    (6, UNPARTITIONABLE_BASE_6X5, 2),
+    (5, RELAXED_NONBASE_5X5, 2),
+], ids=["omega-r1", "omega-r2", "unpartitionable", "relaxed-nonbase"])
+def test_certify_library_payload_is_cli_stdout(tmp_path, capsys, m, columns, r):
+    path = _write_pattern(tmp_path, "p.txt", m, columns)
+    code, out, _ = _run(capsys, ["certify", "--pattern", path, "--r", str(r),
+                                 "--seed", "7"])
+    payload = certify(make_pattern(m, columns), r, DEFAULT_PRIME,
+                      DEFAULT_TRIALS, 7)
+    assert payload == json.loads(out)
+    assert code == (0 if payload["certified"] else 1)
+
+
 def _reject_relaxed(pattern, params):
     return False, ViolationWitness((1, 2, 3), 2, 1, "inequality_violated")
 
@@ -195,7 +213,7 @@ def _refute_base(pattern, r, p, trials, seed):
 def test_certify_contradiction_exits_two(tmp_path, capsys, monkeypatch,
                                          columns, m, name, fake, line):
     path = _write_pattern(tmp_path, "p.txt", m, columns)
-    monkeypatch.setattr(cli, name, fake)
+    monkeypatch.setattr(census, name, fake)
     code, out, err = _run(capsys, ["certify", "--pattern", path, "--r", "2"])
     assert code == 2
     assert "bug" in json.loads(out)
@@ -317,6 +335,18 @@ def test_verify_conjecture_json_reports_counterexample(capsys):
     assert len(payload["rows"]) == 5
     assert len(payload["counterexamples"]) == 1
     assert "counterexample" in err
+
+
+# sha256 of stdout, frozen so that refactors keep census output byte-identical
+@pytest.mark.parametrize("argv, digest", [
+    (["--m", "5", "--n", "5", "--r", "2"],
+     "18d992fd3cbe893b1d2171746e87e3a68b8711cc9079d4fbf9b987fae39a1dd4"),
+    (["--m", "4", "--n", "4", "--r", "2", "--col-size", "3", "--format", "json"],
+     "fec0ec5f723a3776b137a75346782ccdc7daed147c16ded5cd050460f0ce11c1"),
+], ids=["5x5r2-csv", "4x4r2-triples-json"])
+def test_verify_conjecture_stdout_is_frozen(capsys, argv, digest):
+    _, out, _ = _run(capsys, ["verify-conjecture"] + argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_crosscheck_command(capsys):
