@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import CapacityError, ContractError
 from .fields import DEFAULT_PRIME, prev_prime
@@ -40,37 +41,54 @@ def canonical_form(pattern: SupportPattern) -> SupportPattern:
 
     For a fixed row order the row-major reading is minimized by sorting the
     columns as binary strings with row 1 most significant, so the canonical
-    form is the best column-sorted reading over all row permutations.
+    form is the best column-sorted reading over all row orders.  Row k of
+    that reading is the last bit of each sorted (k+1)-row column prefix, so
+    the order is built one row at a time, keeping only the prefixes still
+    tied for the least reading (individualisation-refinement over row
+    prefixes, as in McKay and Piperno, JSC 2014).  Prefixes with the same
+    unused rows and the same column prefix keys share every continuation and
+    are kept once.  Ties can still grow exponentially, hence the ceiling.
     """
     m, n = pattern.m, pattern.n
     if m > CANON_ROW_CEILING:
         raise CapacityError("m=%d exceeds the canonicalization ceiling %d"
                             % (m, CANON_ROW_CEILING))
-    best_reading = None
-    best_cols = None
-    for perm in permutations(range(m)):
-        remapped = []
-        for mask in pattern.cols:
-            nm = 0
-            for new_i, old_i in enumerate(perm):
-                if (mask >> old_i) & 1:
-                    nm |= 1 << new_i
-            remapped.append(nm)
-        # top-down key: row 1 most significant
-        keys = sorted(
-            sum(((nm >> i) & 1) << (m - 1 - i) for i in range(m))
-            for nm in remapped
-        )
-        reading = tuple(
-            tuple((key >> (m - 1 - i)) & 1 for key in keys) for i in range(m)
-        )
-        if best_reading is None or reading < best_reading:
-            best_reading = reading
-            best_cols = tuple(
-                sum(((key >> (m - 1 - i)) & 1) << i for i in range(m))
-                for key in keys
-            )
-    return SupportPattern(m, n, best_cols)
+    row_bits = [tuple((mask >> i) & 1 for mask in pattern.cols)
+                for i in range(m)]
+    # state: (unused row mask, column prefix keys in input column order)
+    states = {((1 << m) - 1, (0,) * n)}
+    for _ in range(m):
+        best = None
+        tied: set = set()
+        for unused, keys in states:
+            rest = unused
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                grown = tuple(
+                    key << 1 | bit
+                    for key, bit in zip(keys, row_bits[low.bit_length() - 1])
+                )
+                reading = 0
+                for key in sorted(grown):
+                    reading = reading << 1 | key & 1
+                if best is None or reading < best:
+                    best = reading
+                    tied = set()
+                if reading == best:
+                    tied.add((unused ^ low, grown))
+        states = tied
+    # every survivor has the same reading; a key's top bit is row 1
+    keys = sorted(next(iter(states))[1])
+    return SupportPattern(m, n, tuple(
+        sum(((key >> (m - 1 - i)) & 1) << i for i in range(m))
+        for key in keys
+    ))
+
+
+def _check_filter(filter: str) -> None:
+    if filter not in ("base_size_and_mindeg", "all"):
+        raise ContractError("unknown filter %r" % filter)
 
 
 def _column_candidates(m: int, r: int, mode: str, col_size: int | None) -> list[int]:
@@ -95,8 +113,7 @@ def enumerate_patterns(m: int, n: int, r: int,
     pins every column support size.  Duplicated orbits are suppressed by
     canonicalizing every candidate, so each orbit appears exactly once.
     """
-    if filter not in ("base_size_and_mindeg", "all"):
-        raise ContractError("unknown filter %r" % filter)
+    _check_filter(filter)
     if m * n > ENUM_CELL_CEILING:
         raise CapacityError("m*n=%d exceeds the exhaustive ceiling %d"
                             % (m * n, ENUM_CELL_CEILING))
@@ -166,6 +183,7 @@ def sample_patterns(m: int, n: int, r: int, count: int, seed: int,
     """
     import random
 
+    _check_filter(filter)
     rng = random.Random(derive_seed(seed, "sample-patterns"))
     filtered = filter == "base_size_and_mindeg"
     target = r * (m + n - r)
@@ -364,7 +382,10 @@ def verify_conjecture(m: int, n: int, r: int, prime: int = DEFAULT_PRIME,
     patterns = list(enumerate_patterns(m, n, r, filter=filter, col_size=col_size))
     args = [(p, r, prime, trials, seed) for p in patterns]
     if jobs > 1 and len(patterns) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts every worker at once; the rows do not depend on
+        # the worker count, so more workers than patterns or cores buy nothing
+        workers = min(jobs, len(patterns), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_classify_job, args, chunksize=8))
     else:
         rows = [_classify_job(a) for a in args]

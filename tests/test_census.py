@@ -14,6 +14,7 @@ from detmatroid import (CapacityError, ContractError, SupportPattern,
                         contains_full_bipartite, enumerate_patterns, is_base,
                         is_spanning_tree, known_facts_crosscheck,
                         sample_patterns, verify_conjecture)
+from detmatroid import census
 
 
 def _permuted(pattern, rng):
@@ -37,6 +38,65 @@ def test_canonical_form_is_permutation_invariant():
         canon = canonical_form(p)
         assert canonical_form(_permuted(p, rng)) == canon
         assert canonical_form(canon) == canon
+
+
+def _canonical_form_by_row_scan(pattern):
+    """Reference canonical form: the best column-sorted reading over all m!
+    row orders."""
+    m, n = pattern.m, pattern.n
+    best_reading = None
+    best_cols = None
+    for perm in itertools.permutations(range(m)):
+        remapped = []
+        for mask in pattern.cols:
+            nm = 0
+            for new_i, old_i in enumerate(perm):
+                if (mask >> old_i) & 1:
+                    nm |= 1 << new_i
+            remapped.append(nm)
+        # top-down key: row 1 most significant
+        keys = sorted(
+            sum(((nm >> i) & 1) << (m - 1 - i) for i in range(m))
+            for nm in remapped
+        )
+        reading = tuple(
+            tuple((key >> (m - 1 - i)) & 1 for key in keys) for i in range(m)
+        )
+        if best_reading is None or reading < best_reading:
+            best_reading = reading
+            best_cols = tuple(
+                sum(((key >> (m - 1 - i)) & 1) << i for i in range(m))
+                for key in keys
+            )
+    return SupportPattern(m, n, best_cols)
+
+
+def _symmetric_8_row_patterns():
+    # highly symmetric patterns keep many row prefixes tied at every depth
+    return [
+        SupportPattern(8, 3, (0, 0, 0)),
+        SupportPattern(8, 3, (255, 255, 255)),
+        SupportPattern(8, 8, tuple((0b111 << j | 0b111 >> (8 - j)) & 255
+                                   for j in range(8))),
+        SupportPattern(8, 4, (0b11, 0b1100, 0b110000, 0b11000000)),
+    ]
+
+
+def test_canonical_form_matches_row_scan_reference():
+    rng = random.Random(41)
+    cases = []
+    for m in range(1, 8):
+        for n in range(1, 8):
+            density = rng.random()
+            cases.append(SupportPattern(m, n, tuple(
+                sum(1 << i for i in range(m) if rng.random() < density)
+                for _ in range(n))))
+    cases += _symmetric_8_row_patterns()
+    for p in cases:
+        canon = canonical_form(p)
+        assert canon == _canonical_form_by_row_scan(p), p
+        assert canonical_form(canon) == canon
+        assert canonical_form(_permuted(p, rng)) == canon
 
 
 def test_canonical_form_row_ceiling():
@@ -87,6 +147,8 @@ def test_enumerate_yields_base_sized_min_degree_patterns():
 def test_enumerate_rejects_unknown_filter_and_capacity():
     with pytest.raises(ContractError):
         list(enumerate_patterns(2, 2, 1, filter="bogus"))
+    with pytest.raises(ContractError):
+        sample_patterns(3, 3, 1, count=3, seed=0, filter="bogus")
     with pytest.raises(CapacityError):
         list(enumerate_patterns(7, 7, 2))
 
@@ -136,11 +198,47 @@ def test_census_5_5_2_finds_one_stable_counterexample(reduced_base):
     assert len(set(info["reverified"]["primes"])) == 3
 
 
-def test_census_parallel_jobs_match_serial():
-    serial = verify_conjecture(5, 5, 2, jobs=1)
-    parallel = verify_conjecture(5, 5, 2, jobs=2)
+@pytest.mark.parametrize("m, n, r, filter", [
+    (5, 5, 2, "base_size_and_mindeg"),
+    (5, 6, 2, "base_size_and_mindeg"),
+    (6, 5, 3, "base_size_and_mindeg"),
+    (3, 3, 1, "all"),
+], ids=["5x5r2", "5x6r2", "6x5r3", "3x3r1-all"])
+def test_census_parallel_jobs_match_serial(m, n, r, filter):
+    serial = verify_conjecture(m, n, r, filter=filter, jobs=1)
+    parallel = verify_conjecture(m, n, r, filter=filter, jobs=2)
     assert serial.rows == parallel.rows
     assert serial.consistent == parallel.consistent
+    assert serial.counterexamples == parallel.counterexamples
+
+
+def test_census_worker_count_is_capped(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
+    serial = verify_conjecture(5, 5, 2)
+    assert len(serial.rows) == 5
+    # capped by the cores, the job count, the 5 patterns, and one core when
+    # the core count is unknown
+    for cores, jobs, workers in [(4, 100_000, 4), (4, 3, 3), (64, 100_000, 5),
+                                 (None, 2, 1)]:
+        monkeypatch.setattr(census.os, "cpu_count", lambda: cores)
+        assert verify_conjecture(5, 5, 2, jobs=jobs).rows == serial.rows
+        assert started.pop() == workers
+    assert started == []
 
 
 @pytest.mark.parametrize("m, n, r", [(3, 3, 1), (3, 4, 2)])

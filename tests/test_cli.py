@@ -343,7 +343,11 @@ def test_verify_conjecture_json_reports_counterexample(capsys):
      "18d992fd3cbe893b1d2171746e87e3a68b8711cc9079d4fbf9b987fae39a1dd4"),
     (["--m", "4", "--n", "4", "--r", "2", "--col-size", "3", "--format", "json"],
      "fec0ec5f723a3776b137a75346782ccdc7daed147c16ded5cd050460f0ce11c1"),
-], ids=["5x5r2-csv", "4x4r2-triples-json"])
+    (["--m", "5", "--n", "6", "--r", "2"],
+     "9054a919d3ae0c7b1d564b69d3c654fbf36ec5ad9315c31f8af8a09c870c9235"),
+    (["--m", "6", "--n", "5", "--r", "3"],
+     "2dba112745aef6af7e4f4e750b5b833c65c4254345a6c25bb74352b2fdb6d423"),
+], ids=["5x5r2-csv", "4x4r2-triples-json", "5x6r2-csv", "6x5r3-csv"])
 def test_verify_conjecture_stdout_is_frozen(capsys, argv, digest):
     _, out, _ = _run(capsys, ["verify-conjecture"] + argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
