@@ -1,9 +1,10 @@
 """Exact coefficient fields: prime fields GF(p) and the rationals.
 
 Both back ends expose the same small protocol (zero/one constants, arithmetic,
-inverse, random sampling, parsing) so the linear algebra and completion code
-is generic.  GF(p) elements are plain ints in [0, p); rational elements are
-fractions.Fraction.  Floating point is deliberately not offered.
+the elimination row update sub_scaled, inverse, random sampling, parsing) so
+the linear algebra and completion code is generic.  GF(p) elements are plain
+ints in [0, p); rational elements are fractions.Fraction.  Floating point is
+deliberately not offered.
 """
 
 from __future__ import annotations
@@ -82,6 +83,17 @@ class PrimeField:
     def neg(self, a):
         return -a % self.p
 
+    def sub_scaled(self, x: list, f, y: list, start: int) -> None:
+        """x[j] -= f*y[j] for j >= start, in place (the elimination row update).
+
+        Zeros of y are skipped: pivot rows of the oracle's Schur complement
+        are about half zeros."""
+        p = self.p
+        for j in range(start, len(x)):
+            b = y[j]
+            if b:
+                x[j] = (x[j] - f * b) % p
+
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.p)
@@ -135,6 +147,13 @@ class Rationals:
 
     def neg(self, a):
         return -a
+
+    def sub_scaled(self, x: list, f, y: list, start: int) -> None:
+        """x[j] -= f*y[j] for j >= start, in place; zeros of y are skipped."""
+        for j in range(start, len(x)):
+            b = y[j]
+            if b:
+                x[j] -= f * b
 
     def inv(self, a):
         if a == 0:

@@ -87,10 +87,7 @@ def _eliminate(a: list[list], field) -> tuple[list[list], list[int], int, list]:
         for i in range(r + 1, rows):
             f = m[i][c]
             if f != zero:
-                f = field.mul(f, inv)
-                mrow = m[i]
-                for j in range(c, cols):
-                    mrow[j] = field.sub(mrow[j], field.mul(f, prow[j]))
+                field.sub_scaled(m[i], field.mul(f, inv), prow, c)
         pivots.append(c)
         inverses.append(inv)
         r += 1
@@ -115,9 +112,7 @@ def rref(a: list[list], field) -> tuple[list[list], list[int]]:
         for i in range(k):
             f = m[i][c]
             if f != zero:
-                mrow = m[i]
-                for j in range(c, len(prow)):
-                    mrow[j] = field.sub(mrow[j], field.mul(f, prow[j]))
+                field.sub_scaled(m[i], f, prow, c)
     return m, pivots
 
 

@@ -67,31 +67,61 @@ def random_rank_r(m: int, n: int, r: int, p: int = DEFAULT_PRIME,
 
 def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
                   seed: int = 0) -> int:
-    """Rank of the Jacobian of the observed entries of L*R at random (L, R).
+    """Rank of the Jacobian J of the observed entries of L*R at random (L, R).
 
-    Rows are the cells of the pattern (row-major); columns are the entries of
-    L then R.  The cell (i,j) has derivative R[k][j] with respect to L[i][k]
-    and L[i][k] with respect to R[k][j].
+    J has one row per cell (i,j), holding R[:,j] in the r columns of L[i,:]
+    and L[i,:] in the r columns of R[:,j].  Its rank is computed without
+    building it, by three identities that are exact at the sampled point:
+
+    * The L columns are block diagonal by matrix row: block A_i stacks
+      R[:,j]^T for the observed j of row i.  So rank J = sum_i rank A_i +
+      rank S, where S has one row per left-kernel vector y of some A_i,
+      holding y_j * L[i,:] in the columns of R[:,j].
+    * With n > m the problem is transposed (L and R^T swap after drawing),
+      so the blocks run along the longer side and S is narrow.
+    * The gauge (L, R) -> (Lg, g^-1 R) fixes L*R, so J vanishes on the
+      tangents (L*X, -X*R).  For the pivot columns P of rref(R), R[:,P] has
+      independent columns, so X*R[:,P] can match any change of R[:,P]: the
+      columns of R[:,P] can be dropped from S without changing the image of J.
     """
     if r < 0:
         raise ContractError("r must be >= 0")
-    size = pattern.size()
-    if r == 0 or size == 0:
+    if r == 0 or pattern.size() == 0:
         return 0
     m, n = pattern.m, pattern.n
     field = PrimeField(p)
     rng = random.Random(seed)
     left = linalg.random_matrix(m, r, field, rng)
     right = linalg.random_matrix(r, n, field, rng)
-    ncols = m * r + r * n
-    jac = []
-    for i, j in pattern.cells():
-        row = [0] * ncols
-        for k in range(r):
-            row[(i - 1) * r + k] = right[k][j - 1]
-            row[m * r + k * n + (j - 1)] = left[i - 1][k]
-        jac.append(row)
-    return linalg.rank(jac, field)
+    if n > m:
+        left, right = linalg.mat_transpose(right), linalg.mat_transpose(left)
+        blocks = [[j - 1 for j in col] for col in pattern.columns]
+        n = m
+    else:
+        blocks = [[] for _ in range(m)]
+        for i, j in pattern.cells():
+            blocks[i - 1].append(j - 1)
+    gauge = set(linalg.rref(right, field)[1])
+    slot, width = [-1] * n, 0
+    for j in range(n):
+        if j not in gauge:
+            slot[j], width = width, width + r
+    total = 0
+    schur = []
+    for cols, li in zip(blocks, left):
+        if not cols:
+            continue
+        block_t = [[row[j] for j in cols] for row in right]
+        kernel = linalg.right_kernel(block_t, len(cols), field)
+        total += len(cols) - len(kernel)
+        for y in kernel:
+            row = [0] * width
+            for yj, j in zip(y, cols):
+                s = slot[j]
+                if yj and s >= 0:
+                    row[s:s + r] = [yj * v % p for v in li]
+            schur.append(row)
+    return total + linalg.rank(schur, field)
 
 
 @dataclass(frozen=True)

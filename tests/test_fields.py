@@ -87,3 +87,24 @@ def test_rationals_round_trip_and_inverse():
         assert q.mul(a, q.inv(a)) == q.one
         assert q.parse(q.to_str(a)) == a
     assert q.of(5) == Fraction(5)
+
+
+@pytest.mark.parametrize("field",
+                         [PrimeField(7), PrimeField(DEFAULT_PRIME), Rationals()],
+                         ids=["gf7", "gf2^31-1", "rationals"])
+def test_sub_scaled_matches_elementwise_update(field):
+    rng = random.Random(3)
+    for length in range(6):
+        for start in range(length + 1):
+            x = [field.rand(rng) for _ in range(length)]
+            y = [field.rand(rng) if rng.random() < 0.6 else field.zero
+                 for _ in range(length)]
+            f = field.rand(rng)
+            expected = x[:start] + [field.sub(a, field.mul(f, b))
+                                    for a, b in zip(x[start:], y[start:])]
+            before = list(y)
+            got = list(x)
+            assert field.sub_scaled(got, f, y, start) is None
+            assert got == expected
+            assert all(type(a) is type(b) for a, b in zip(got, expected))
+            assert y == before

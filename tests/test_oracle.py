@@ -10,7 +10,28 @@ import pytest
 from conftest import make_pattern
 from detmatroid import (DEFAULT_PRIME, CapacityError, ContractError,
                         PrimeField, is_base, jacobian_rank, random_rank_r)
-from detmatroid.linalg import rank
+from detmatroid.linalg import random_matrix, rank
+
+
+def _jacobian_rank_dense(pattern, r, p=DEFAULT_PRIME, seed=0):
+    """Reference Jacobian rank: build the full #Omega x (m+n)r Jacobian at the
+    same random (L, R) as jacobian_rank and eliminate all of it.  Rows are the
+    cells (row-major); columns are the entries of L, then those of R."""
+    if r == 0 or pattern.size() == 0:
+        return 0
+    m, n = pattern.m, pattern.n
+    field = PrimeField(p)
+    rng = random.Random(seed)
+    left = random_matrix(m, r, field, rng)
+    right = random_matrix(r, n, field, rng)
+    jac = []
+    for i, j in pattern.cells():
+        row = [0] * (m * r + r * n)
+        for k in range(r):
+            row[(i - 1) * r + k] = right[k][j - 1]
+            row[m * r + k * n + (j - 1)] = left[i - 1][k]
+        jac.append(row)
+    return rank(jac, field)
 
 
 def test_random_rank_r_has_exact_rank():
@@ -50,6 +71,34 @@ def test_jacobian_rank_never_exceeds_variety_dimension():
         p = make_pattern(m, cols)
         got = jacobian_rank(p, r, seed=rng.randrange(2 ** 32))
         assert got <= min(p.size(), r * (m + n - r))
+
+
+def test_jacobian_rank_matches_dense_reference():
+    # random patterns on both sides of the diagonal, with empty rows and
+    # columns; small primes make rank-deficient R and singular blocks common
+    rng = random.Random(5)
+    cases = []
+    for p in (2, 3, 7, DEFAULT_PRIME):
+        for _ in range(120):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            density = rng.random()
+            empty = set(rng.sample(range(1, m + 1), rng.randint(0, m // 2)))
+            cols = [[i for i in range(1, m + 1)
+                     if i not in empty and rng.random() < density]
+                    for _ in range(n)]
+            for j in rng.sample(range(n), rng.randint(0, n // 2)):
+                cols[j] = []
+            cases.append((make_pattern(m, cols), rng.randint(0, min(m, n)), p))
+    assert any(c[0].n > c[0].m for c in cases)
+    assert any(c[0].m > c[0].n for c in cases)
+    for m, n, r in ((16, 16, 4), (8, 40, 2)):
+        cols = [sorted(rng.sample(range(1, m + 1), rng.randint(r, m)))
+                for _ in range(n)]
+        cases.append((make_pattern(m, cols), r, DEFAULT_PRIME))
+    for pattern, r, p in cases:
+        seed = rng.randrange(2 ** 32)
+        assert (jacobian_rank(pattern, r, p, seed)
+                == _jacobian_rank_dense(pattern, r, p, seed)), (pattern, r, p)
 
 
 def test_is_base_on_known_bases(fully_reducible_base, unpartitionable_base,
