@@ -13,18 +13,14 @@ from .census import (CensusReport, CensusRow, CrosscheckReport, canonical_form,
 from .errors import (CapacityError, ContractError, DetmatroidError,
                      GenericityError, ParseError)
 from .fields import DEFAULT_PRIME, PrimeField, Rationals, prev_prime
-from .grassmann import (PluckerVector, SparsePerp, complete_matrix, dual_sign,
-                        p_phi, plucker_from_basis, section_form, sparse_perp)
+from .grassmann import (PluckerVector, SparsePerp, complete_matrix, p_phi,
+                        plucker_from_basis, section_form, sparse_perp)
 from .oracle import OracleVerdict, is_base, jacobian_rank, random_rank_r
-from .partition import (PackingWitness, PartitionCertificate,
-                        TruncationMatroid, certificate_from_groups,
-                        dilworth_rank, pack_bases, parse_certificate,
-                        partition_r_eq_m_minus_1, partition_r_eq_m_minus_2,
-                        partition_search, truncation_independent,
+from .partition import (PartitionCertificate, certificate_from_groups,
+                        parse_certificate, partition_search,
                         validate_certificate)
 from .patterns import (Slmf, SupportPattern, degrees, drop_column, drop_row,
-                       emit_pattern, parse_pattern, reduce_pattern,
-                       replay_reduction, transpose)
+                       emit_pattern, parse_pattern, reduce_pattern, transpose)
 from .seeding import derive_seed
 from .slmf import (RelaxedParams, ViolationWitness, induce_slmf,
                    is_relaxed_slmf, is_slmf, is_slmf_via_matching)
@@ -41,7 +37,6 @@ __all__ = [
     "DetmatroidError",
     "GenericityError",
     "OracleVerdict",
-    "PackingWitness",
     "ParseError",
     "PartitionCertificate",
     "PluckerVector",
@@ -51,7 +46,6 @@ __all__ = [
     "Slmf",
     "SparsePerp",
     "SupportPattern",
-    "TruncationMatroid",
     "ViolationWitness",
     "canonical_form",
     "certificate_from_groups",
@@ -61,10 +55,8 @@ __all__ = [
     "contains_full_bipartite",
     "degrees",
     "derive_seed",
-    "dilworth_rank",
     "drop_column",
     "drop_row",
-    "dual_sign",
     "emit_pattern",
     "enumerate_patterns",
     "induce_slmf",
@@ -76,22 +68,17 @@ __all__ = [
     "jacobian_rank",
     "known_facts_crosscheck",
     "p_phi",
-    "pack_bases",
     "parse_certificate",
     "parse_pattern",
-    "partition_r_eq_m_minus_1",
-    "partition_r_eq_m_minus_2",
     "partition_search",
     "plucker_from_basis",
     "prev_prime",
     "random_rank_r",
     "reduce_pattern",
-    "replay_reduction",
     "sample_patterns",
     "section_form",
     "sparse_perp",
     "transpose",
-    "truncation_independent",
     "validate_certificate",
     "verify_conjecture",
 ]

@@ -228,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complete", help="uniquely complete observed entries "
                                         "to a rank-r matrix")
-    common(p, oracle=True)
+    common(p)
+    p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
+                   help="field modulus (default 2^31-1)")
     p.add_argument("--certificate", required=True,
                    help="partition certificate JSON file")
     p.add_argument("--observations", required=True,

@@ -99,14 +99,8 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.p)
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
     def rand(self, rng: random.Random):
         return rng.randrange(self.p)
-
-    def rand_nonzero(self, rng: random.Random):
-        return rng.randrange(1, self.p)
 
     def parse(self, text: str):
         try:
@@ -160,20 +154,9 @@ class Rationals:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by 0")
-        return Fraction(a) / b
-
     def rand(self, rng: random.Random) -> Fraction:
         # small numerators/denominators keep exact arithmetic cheap
         return Fraction(rng.randrange(-99, 100), rng.randrange(1, 20))
-
-    def rand_nonzero(self, rng: random.Random) -> Fraction:
-        while True:
-            x = self.rand(rng)
-            if x != 0:
-                return x
 
     def parse(self, text: str) -> Fraction:
         try:

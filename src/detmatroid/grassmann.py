@@ -79,23 +79,6 @@ def plucker_from_basis(basis: list[list], field) -> PluckerVector:
     return PluckerVector(r, m, coords, field)
 
 
-def dual_sign(psi, m: int) -> int:
-    """(-1) to the number of pairs (a,b), a in psi, b outside, with a > b."""
-    key = _subset_key(psi)
-    inside_below = 0
-    inversions = 0
-    pos = 0
-    for b in range(1, m + 1):
-        if pos < len(key) and key[pos] == b:
-            # elements outside psi and below b
-            inversions += (b - 1) - inside_below
-            inside_below += 1
-            pos += 1
-    if pos != len(key) or (key and (key[0] < 1 or key[-1] > m)):
-        raise ContractError("subset %r not inside [%d]" % (psi, m))
-    return -1 if inversions % 2 else 1
-
-
 def section_form(x: list, phi_set, pl: PluckerVector):
     """Alternating sum sum_a (-1)^(a-1) x[i_a] * [phi minus i_a].
 

@@ -8,18 +8,6 @@ pivoting strategy beyond "first nonzero" is needed and arithmetic stays exact.
 from __future__ import annotations
 
 
-def zeros(rows: int, cols: int, field) -> list[list]:
-    z = field.zero
-    return [[z] * cols for _ in range(rows)]
-
-
-def identity(k: int, field) -> list[list]:
-    out = zeros(k, k, field)
-    for i in range(k):
-        out[i][i] = field.one
-    return out
-
-
 def mat_transpose(a: list[list]) -> list[list]:
     return [list(row) for row in zip(*a)] if a else []
 

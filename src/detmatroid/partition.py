@@ -2,11 +2,7 @@
 
 A pattern whose columns split into r groups, each a relaxed (1,r,m)-SLMF, is
 a base of the rank-r matroid; the certificate carries the groups together
-with the SLMF each group induces.  For patterns with all column supports of
-size r+1 the search can be replaced by matroid machinery (the Dilworth
-truncation of f(J) = #union - r), where packing r disjoint bases is decided
-by augmenting-path exchange and failures carry an Edmonds-Fulkerson witness.
-Two closed-form constructions handle the extreme ranks m-1 and m-2.
+with the SLMF each group induces.
 """
 
 from __future__ import annotations
@@ -14,14 +10,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import CapacityError, ContractError, ParseError
 from .patterns import Slmf, SupportPattern, _rows_of
 from .slmf import RelaxedParams, induce_slmf, is_relaxed_slmf, is_slmf
 
 PARTITION_ROW_CEILING = 24
-DILWORTH_CEILING = 12
 
 
 @dataclass(frozen=True)
@@ -175,201 +169,6 @@ def validate_certificate(pattern: SupportPattern, cert: PartitionCertificate) ->
         raise ContractError("same_phi flag inconsistent with induced systems")
 
 
-class TruncationMatroid:
-    """Dilworth truncation of f(J) = #(union of supports) - r.
-
-    Defined for patterns with every column support of size exactly r+1; then
-    f of a singleton is 1 and the truncation rank of J is min over partitions
-    of J of the sum of part f-values.
-    """
-
-    def __init__(self, pattern: SupportPattern, r: int):
-        if r < 1:
-            raise ContractError("r must be >= 1")
-        for j, mask in enumerate(pattern.cols, start=1):
-            if mask.bit_count() != r + 1:
-                raise ContractError(
-                    "column %d has %d rows; truncation machinery needs r+1=%d"
-                    % (j, mask.bit_count(), r + 1)
-                )
-        self.pattern = pattern
-        self.r = r
-        self.n = pattern.n
-        self._union = {0: 0}
-        self._fhat = {0: 0}
-
-    def union_mask(self, jmask: int) -> int:
-        got = self._union.get(jmask)
-        if got is None:
-            low = jmask & -jmask
-            got = self.union_mask(jmask ^ low) | self.pattern.cols[low.bit_length() - 1]
-            self._union[jmask] = got
-        return got
-
-    def f(self, jmask: int) -> int:
-        """#union - r for a nonempty column set given as a bitmask."""
-        if jmask == 0:
-            raise ContractError("f is defined on nonempty sets")
-        return self.union_mask(jmask).bit_count() - self.r
-
-    def _mask_of(self, subset) -> int:
-        mask = 0
-        for j in subset:
-            if not isinstance(j, int) or not 1 <= j <= self.n:
-                raise ContractError("column %r out of range 1..%d" % (j, self.n))
-            bit = 1 << (j - 1)
-            if mask & bit:
-                raise ContractError("duplicate column %d" % j)
-            mask |= bit
-        return mask
-
-    def fhat_mask(self, jmask: int) -> int:
-        got = self._fhat.get(jmask)
-        if got is not None:
-            return got
-        if jmask.bit_count() > DILWORTH_CEILING:
-            raise CapacityError(
-                "#J=%d exceeds the partition-enumeration ceiling %d"
-                % (jmask.bit_count(), DILWORTH_CEILING)
-            )
-        # the part containing the lowest element ranges over submasks
-        low = jmask & -jmask
-        rest = jmask ^ low
-        best = None
-        sub = rest
-        while True:
-            part = sub | low
-            val = self.f(part) + (self.fhat_mask(jmask ^ part) if jmask ^ part else 0)
-            if best is None or val < best:
-                best = val
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        self._fhat[jmask] = best
-        return best
-
-
-def dilworth_rank(mat: TruncationMatroid, subset) -> int:
-    """Truncation rank of a column set: min over partitions of sum of f."""
-    return mat.fhat_mask(mat._mask_of(subset))
-
-
-def truncation_independent(mat: TruncationMatroid, subset) -> bool:
-    """True iff #J' <= f(J') for every nonempty J' of the given columns."""
-    jmask = mat._mask_of(subset)
-    if jmask.bit_count() > DILWORTH_CEILING:
-        raise CapacityError(
-            "#J=%d exceeds the partition-enumeration ceiling %d"
-            % (jmask.bit_count(), DILWORTH_CEILING)
-        )
-    return _independent_mask(mat, jmask)
-
-
-@dataclass(frozen=True)
-class PackingWitness:
-    """A column set J with #J < r(m-r) - r*fhat(complement)."""
-
-    subset: tuple[int, ...]
-    size: int
-    bound: int
-
-    def as_dict(self) -> dict:
-        return {"J": list(self.subset), "size": self.size, "bound": self.bound}
-
-
-def _independent_mask(mat: TruncationMatroid, jmask: int) -> bool:
-    sub = jmask
-    while sub:
-        if sub.bit_count() > mat.f(sub):
-            return False
-        sub = (sub - 1) & jmask
-    return True
-
-
-def pack_bases(
-    mat: TruncationMatroid,
-) -> tuple[list[tuple[int, ...]] | None, PackingWitness | None]:
-    """Pack the columns into r disjoint truncation-matroid bases.
-
-    Greedy insertion with matroid-union augmenting paths: an element that fits
-    nowhere directly tries to displace members along exchange arcs.  Success
-    returns r groups of m-r columns, each independent; failure returns the
-    Edmonds-Fulkerson witness.
-    """
-    r = mat.r
-    m = mat.pattern.m
-    target = m - r
-    if mat.n != r * target:
-        raise ContractError("packing needs n = r(m-r), got n=%d" % mat.n)
-    if mat.n > DILWORTH_CEILING:
-        raise CapacityError(
-            "n=%d exceeds the partition-enumeration ceiling %d"
-            % (mat.n, DILWORTH_CEILING)
-        )
-    groups = [0] * r  # bitmasks of assigned columns
-
-    def augment(e_bit: int) -> bool:
-        parent: dict[int, tuple[int, int]] = {e_bit: (0, -1)}
-        queue = [e_bit]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for g in range(r):
-                if groups[g] & x:
-                    # x already sits in g; inserting it there is vacuous and
-                    # would sever the displacement chain
-                    continue
-                if _independent_mask(mat, groups[g] | x):
-                    # walk the displacement chain back to the new element
-                    cur, dest = x, g
-                    while True:
-                        px, pg = parent[cur]
-                        groups[dest] |= cur
-                        if px == 0:
-                            return True
-                        groups[pg] &= ~cur
-                        cur, dest = px, pg
-                for y_iter in _bits(groups[g]):
-                    if y_iter not in parent and _independent_mask(
-                        mat, (groups[g] & ~y_iter) | x
-                    ):
-                        parent[y_iter] = (x, g)
-                        queue.append(y_iter)
-        return False
-
-    for j in range(mat.n):
-        if not augment(1 << j):
-            return None, _packing_witness(mat)
-    bases = []
-    for g in range(r):
-        if groups[g].bit_count() != target or not _independent_mask(mat, groups[g]):
-            raise ContractError("internal: packed group failed revalidation")
-        bases.append(tuple(b.bit_length() for b in _bits(groups[g])))
-    return bases, None
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
-def _packing_witness(mat: TruncationMatroid) -> PackingWitness:
-    r, m, n = mat.r, mat.pattern.m, mat.n
-    full = (1 << n) - 1
-    for k in range(n + 1):
-        for cols in combinations(range(n), k):
-            jmask = 0
-            for j in cols:
-                jmask |= 1 << j
-            bound = r * (m - r) - r * mat.fhat_mask(full ^ jmask)
-            if k < bound:
-                return PackingWitness(tuple(j + 1 for j in cols), k, bound)
-    raise ContractError("internal: packing failed but no witness found")
-
-
 def _excess(mask: int, r: int) -> int:
     e = mask.bit_count() - r
     return e if e > 0 else 0
@@ -480,65 +279,3 @@ def partition_search(
     if found is not None:
         return found
     return best[0]
-
-
-def partition_r_eq_m_minus_1(pattern: SupportPattern) -> PartitionCertificate:
-    """Closed-form partition for r = m-1: all supports full, n = r.
-
-    In this regime the counting identity forces n = m-1 and every column to
-    observe all m rows; the singleton groups {1},..,{r} are the certificate.
-    """
-    m = pattern.m
-    r = m - 1
-    if r < 1:
-        raise ContractError("need m >= 2")
-    full = (1 << m) - 1
-    for j, mask in enumerate(pattern.cols, start=1):
-        if mask != full:
-            raise ContractError("column %d must observe all %d rows" % (j, m))
-    if pattern.n != r:
-        raise ContractError("need n = m-1 = %d, got n=%d" % (r, pattern.n))
-    return certificate_from_groups(pattern, r, [(j,) for j in range(1, r + 1)])
-
-
-def partition_r_eq_m_minus_2(pattern: SupportPattern) -> PartitionCertificate:
-    """Closed-form partition for r = m-2 with all supports of size >= m-1.
-
-    The alpha full columns become singleton groups; the remaining columns of
-    size m-1 are sorted so equal supports sit consecutively and the sorted
-    sequence s_1..s_{2q} (q = m-2-alpha) is folded into pairs (s_t, s_{t+q}).
-    The relaxed (r,r,m) precondition bounds each support's multiplicity by q,
-    so no pair repeats a support and every pair is a relaxed (1,r,m) group.
-    """
-    m = pattern.m
-    r = m - 2
-    if r < 1:
-        raise ContractError("need m >= 3")
-    ok, witness = is_relaxed_slmf(pattern, RelaxedParams(r, r))
-    if not ok:
-        raise ContractError(
-            "pattern is not a relaxed (%d,%d,%d)-SLMF: %s"
-            % (r, r, m, witness.as_dict()),
-            witness=witness,
-        )
-    full = (1 << m) - 1
-    full_cols, partial_cols = [], []
-    for j, mask in enumerate(pattern.cols, start=1):
-        if mask == full:
-            full_cols.append(j)
-        elif mask.bit_count() == m - 1:
-            partial_cols.append(j)
-        else:
-            raise ContractError(
-                "column %d has %d rows; need m-1 or m" % (j, mask.bit_count())
-            )
-    alpha = len(full_cols)
-    if pattern.n != 2 * m - 4 - alpha:
-        raise ContractError(
-            "need n = 2m-4-alpha = %d, got n=%d" % (2 * m - 4 - alpha, pattern.n)
-        )
-    q = m - 2 - alpha
-    partial_cols.sort(key=lambda j: (pattern.cols[j - 1], j))
-    groups = [(partial_cols[t], partial_cols[t + q]) for t in range(q)]
-    groups.extend((j,) for j in full_cols)
-    return certificate_from_groups(pattern, r, groups)

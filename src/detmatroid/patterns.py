@@ -249,8 +249,8 @@ def reduce_pattern(pattern: SupportPattern, r: int) -> tuple[SupportPattern, tup
     index order, then all degree-r rows, repeated to a fixed point.
 
     Returns (reduced pattern, log); the log lists ('col', j) / ('row', i)
-    steps with indices valid at the moment of deletion, so replaying it with
-    replay_reduction transforms the input into the output.
+    steps with indices valid at the moment of deletion, so replaying them in
+    order with drop_column / drop_row transforms the input into the output.
     """
     if r < 1:
         raise ContractError("rank bound must be >= 1")
@@ -279,32 +279,16 @@ def reduce_pattern(pattern: SupportPattern, r: int) -> tuple[SupportPattern, tup
     return cur, tuple(log)
 
 
-def replay_reduction(pattern: SupportPattern, log) -> SupportPattern:
-    """Apply a reduce_pattern log step by step."""
-    cur = pattern
-    for kind, idx in log:
-        if kind == "col":
-            cur = drop_column(cur, idx)
-        elif kind == "row":
-            cur = drop_row(cur, idx)
-        else:
-            raise ContractError("unknown log step kind %r" % kind)
-    return cur
-
-
 @dataclass(frozen=True)
 class Slmf:
     """Column system of a candidate (r,m) linkage matching field support.
 
-    Exactly m-r columns, each supported on r+1 rows.  sources, when present,
-    records for each column the index of the pattern column it was induced
-    from (see slmf.induce_slmf).
+    Exactly m-r columns, each supported on r+1 rows.
     """
 
     r: int
     m: int
     cols: tuple[int, ...]
-    sources: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.r < 1:
@@ -326,18 +310,15 @@ class Slmf:
                     "column %d has %d rows, need r+1=%d"
                     % (j, mask.bit_count(), self.r + 1)
                 )
-        if self.sources is not None and len(self.sources) != len(self.cols):
-            raise ContractError("sources length mismatch")
 
     @classmethod
-    def from_columns(cls, r: int, m: int, columns, sources=None) -> "Slmf":
+    def from_columns(cls, r: int, m: int, columns) -> "Slmf":
         cols = tuple(_bits_of(c, m, "column %d" % (j + 1)) for j, c in enumerate(columns))
-        return cls(r, m, cols, tuple(sources) if sources is not None else None)
+        return cls(r, m, cols)
 
     @classmethod
-    def from_pattern(cls, pattern: SupportPattern, r: int, sources=None) -> "Slmf":
-        return cls(r, pattern.m, pattern.cols,
-                   tuple(sources) if sources is not None else None)
+    def from_pattern(cls, pattern: SupportPattern, r: int) -> "Slmf":
+        return cls(r, pattern.m, pattern.cols)
 
     @property
     def columns(self) -> tuple[tuple[int, ...], ...]:

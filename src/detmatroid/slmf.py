@@ -209,7 +209,7 @@ def induce_slmf(pattern: SupportPattern, group, r: int) -> Slmf:
     For each group column with #omega_j > r, fix the r smallest rows as the
     stem psi_j and emit one SLMF column psi_j | {t} per remaining row t in
     ascending order; columns of size <= r contribute nothing.  Output columns
-    are ordered by (source column, added row) and record their sources.
+    are ordered by (source column, added row).
 
     Raises ContractError (with the violation witness attached) when the group
     is not relaxed (1,r,m); by the counting identity the construction then
@@ -224,7 +224,6 @@ def induce_slmf(pattern: SupportPattern, group, r: int) -> Slmf:
             witness=witness,
         )
     cols = []
-    sources = []
     for j in sorted(group):
         cmask = pattern.cols[j - 1]
         if cmask.bit_count() <= r:
@@ -235,8 +234,7 @@ def induce_slmf(pattern: SupportPattern, group, r: int) -> Slmf:
             stem |= 1 << (i - 1)
         for t in rows[r:]:
             cols.append(stem | (1 << (t - 1)))
-            sources.append(j)
-    phi = Slmf(r, pattern.m, tuple(cols), tuple(sources))
+    phi = Slmf(r, pattern.m, tuple(cols))
     ok, bad = is_slmf(phi)
     if not ok:
         raise ContractError("induced system fails the covering condition at "

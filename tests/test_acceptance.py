@@ -16,12 +16,11 @@ from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
                       SLMF_6X4_COLUMNS, TRIPLES_BASE_6X8,
                       UNPARTITIONABLE_BASE_6X5, make_pattern)
 from detmatroid import (DEFAULT_PRIME, GenericityError, PrimeField,
-                        RelaxedParams, Slmf, TruncationMatroid,
-                        certificate_from_groups, complete_matrix,
-                        dilworth_rank, emit_pattern, is_base, is_relaxed_slmf,
-                        is_slmf, is_slmf_via_matching, known_facts_crosscheck,
-                        p_phi, partition_search, plucker_from_basis,
-                        random_rank_r, reduce_pattern, truncation_independent,
+                        RelaxedParams, Slmf, certificate_from_groups,
+                        complete_matrix, emit_pattern, is_base,
+                        is_relaxed_slmf, is_slmf, is_slmf_via_matching,
+                        known_facts_crosscheck, p_phi, partition_search,
+                        plucker_from_basis, random_rank_r, reduce_pattern,
                         validate_certificate, verify_conjecture)
 from detmatroid.cli import main
 
@@ -190,31 +189,3 @@ def test_criterion_10_union_bounds_match_relaxed_slack_one():
             assert direct == relaxed
     _budget(start, 10.0)
     print("[criterion 10] PASS")
-
-
-def test_criterion_11_truncation_values_and_independence():
-    rng = random.Random(11)
-    rows = [1, 2, 3, 4, 5]
-    start = time.perf_counter()
-    found = 0
-    attempts = 0
-    while found < 50:
-        attempts += 1
-        assert attempts < 100_000, "rejection sampling stalled"
-        cols = [sorted(rng.sample(rows, 3)) for _ in range(6)]
-        pattern = make_pattern(5, cols)
-        ok, _ = is_relaxed_slmf(pattern, RelaxedParams(2, 2))
-        if not ok:
-            continue
-        found += 1
-        mat = TruncationMatroid(pattern, 2)
-        assert dilworth_rank(mat, []) == 0
-        for j in range(1, 7):
-            assert dilworth_rank(mat, [j]) == 1
-        assert dilworth_rank(mat, range(1, 7)) == 5 - 2
-        for mask in range(1 << 6):
-            subset = [j + 1 for j in range(6) if mask >> j & 1]
-            indep = truncation_independent(mat, subset)
-            assert indep == (dilworth_rank(mat, subset) == len(subset))
-    _budget(start, 60.0)
-    print("[criterion 11] PASS")

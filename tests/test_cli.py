@@ -313,6 +313,23 @@ def test_complete_degenerate_observations_exit_one(tmp_path, capsys):
     assert "not generic" in err
 
 
+def test_complete_takes_prime_but_refuses_trials(tmp_path, capsys):
+    ppath, cpath, opath, x = _completion_files(tmp_path)
+    argv = ["complete", "--pattern", str(ppath), "--r", "2",
+            "--certificate", str(cpath), "--observations", str(opath),
+            "--prime", str(DEFAULT_PRIME)]
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    assert [[int(v) for v in row] for row in csv.reader(io.StringIO(out))] == x
+    # completion runs no rank oracle, so it has no oracle trials to set
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--trials", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --trials 3" in captured.err
+
+
 def test_verify_conjecture_csv_and_exit_codes(capsys):
     code, out, _ = _run(capsys, ["verify-conjecture", "--m", "4", "--n", "4",
                                  "--r", "2", "--col-size", "3"])

@@ -63,10 +63,8 @@ def test_prime_field_arithmetic_axioms():
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         assert f.add(a, f.neg(a)) == f.zero
         assert f.sub(a, b) == f.add(a, f.neg(b))
-    for _ in range(50):
-        a = f.rand_nonzero(rng)
+    for a in range(1, 97):
         assert f.mul(a, f.inv(a)) == f.one
-        assert f.div(f.mul(a, 5 % 97), a) == 5 % 97
 
 
 def test_prime_field_of_reduces_any_integer():
@@ -83,7 +81,9 @@ def test_rationals_round_trip_and_inverse():
     assert q.parse("3/4") == Fraction(3, 4)
     assert q.parse("-2") == Fraction(-2)
     for _ in range(100):
-        a = q.rand_nonzero(rng)
+        a = q.rand(rng)
+        if a == 0:
+            continue
         assert q.mul(a, q.inv(a)) == q.one
         assert q.parse(q.to_str(a)) == a
     assert q.of(5) == Fraction(5)

@@ -10,7 +10,7 @@ import pytest
 from conftest import FULLY_REDUCIBLE_BASE_6X5, SLMF_6X4_COLUMNS, make_pattern
 from detmatroid import (ContractError, DEFAULT_PRIME, GenericityError,
                         PrimeField, Rationals, Slmf, complete_matrix,
-                        dual_sign, p_phi, partition_search, plucker_from_basis,
+                        p_phi, partition_search, plucker_from_basis,
                         random_rank_r, section_form, sparse_perp)
 from detmatroid.linalg import mat_mul, mat_transpose, mat_vec, rank
 
@@ -55,16 +55,6 @@ def test_plucker_rejects_rank_deficient_basis():
     field = PrimeField(7)
     with pytest.raises(ContractError):
         plucker_from_basis([[1, 2], [2, 4], [3, 6]], field)
-
-
-def test_dual_sign_small_table():
-    # sign of the permutation (psi, complement) of [4]
-    assert dual_sign((1, 2), 4) == 1
-    assert dual_sign((3, 4), 4) == 1
-    assert dual_sign((1, 3), 4) == -1
-    assert dual_sign((2, 3), 4) == 1
-    assert dual_sign((1, 4), 4) == 1
-    assert dual_sign((2, 4), 4) == -1
 
 
 def test_section_form_vanishes_exactly_on_members():

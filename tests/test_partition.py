@@ -1,4 +1,4 @@
-"""Partition certificates, backtracking search, and the truncation matroid."""
+"""Partition certificates, backtracking search, and closed-form references."""
 
 from __future__ import annotations
 
@@ -7,14 +7,73 @@ import random
 
 import pytest
 
-from conftest import (REDUCED_BASE_5X5_GROUPS, RELAXED_NONBASE_5X5,
-                      TRIPLES_BASE_6X8, make_pattern)
-from detmatroid import (ContractError, ParseError, RelaxedParams, TruncationMatroid,
-                        certificate_from_groups, dilworth_rank,
-                        is_relaxed_slmf, is_slmf, pack_bases,
-                        parse_certificate, partition_r_eq_m_minus_1,
-                        partition_r_eq_m_minus_2, partition_search,
-                        truncation_independent, validate_certificate)
+from conftest import REDUCED_BASE_5X5_GROUPS, RELAXED_NONBASE_5X5, make_pattern
+from detmatroid import (ContractError, ParseError, RelaxedParams,
+                        certificate_from_groups, is_relaxed_slmf, is_slmf,
+                        parse_certificate, partition_search,
+                        validate_certificate)
+
+
+def _partition_r_eq_m_minus_1(pattern):
+    """Closed-form partition for r = m-1: all supports full, n = r.
+
+    In this regime the counting identity forces n = m-1 and every column to
+    observe all m rows; the singleton groups {1},..,{r} are the certificate.
+    """
+    m = pattern.m
+    r = m - 1
+    if r < 1:
+        raise ContractError("need m >= 2")
+    full = (1 << m) - 1
+    for j, mask in enumerate(pattern.cols, start=1):
+        if mask != full:
+            raise ContractError("column %d must observe all %d rows" % (j, m))
+    if pattern.n != r:
+        raise ContractError("need n = m-1 = %d, got n=%d" % (r, pattern.n))
+    return certificate_from_groups(pattern, r, [(j,) for j in range(1, r + 1)])
+
+
+def _partition_r_eq_m_minus_2(pattern):
+    """Closed-form partition for r = m-2 with all supports of size >= m-1.
+
+    The alpha full columns become singleton groups; the remaining columns of
+    size m-1 are sorted so equal supports sit consecutively and the sorted
+    sequence s_1..s_{2q} (q = m-2-alpha) is folded into pairs (s_t, s_{t+q}).
+    The relaxed (r,r,m) precondition bounds each support's multiplicity by q,
+    so no pair repeats a support and every pair is a relaxed (1,r,m) group.
+    """
+    m = pattern.m
+    r = m - 2
+    if r < 1:
+        raise ContractError("need m >= 3")
+    ok, witness = is_relaxed_slmf(pattern, RelaxedParams(r, r))
+    if not ok:
+        raise ContractError(
+            "pattern is not a relaxed (%d,%d,%d)-SLMF: %s"
+            % (r, r, m, witness.as_dict()),
+            witness=witness,
+        )
+    full = (1 << m) - 1
+    full_cols, partial_cols = [], []
+    for j, mask in enumerate(pattern.cols, start=1):
+        if mask == full:
+            full_cols.append(j)
+        elif mask.bit_count() == m - 1:
+            partial_cols.append(j)
+        else:
+            raise ContractError(
+                "column %d has %d rows; need m-1 or m" % (j, mask.bit_count())
+            )
+    alpha = len(full_cols)
+    if pattern.n != 2 * m - 4 - alpha:
+        raise ContractError(
+            "need n = 2m-4-alpha = %d, got n=%d" % (2 * m - 4 - alpha, pattern.n)
+        )
+    q = m - 2 - alpha
+    partial_cols.sort(key=lambda j: (pattern.cols[j - 1], j))
+    groups = [(partial_cols[t], partial_cols[t + q]) for t in range(q)]
+    groups.extend((j,) for j in full_cols)
+    return certificate_from_groups(pattern, r, groups)
 
 
 def test_search_finds_partition_on_reducible_base(fully_reducible_base):
@@ -26,17 +85,24 @@ def test_search_finds_partition_on_reducible_base(fully_reducible_base):
         assert is_slmf(phi) == (True, None)
 
 
-def test_search_finds_partition_on_reduced_base(reduced_base):
+def test_search_finds_partition_on_reduced_base(reduced_base, triples_base):
     cert = partition_search(reduced_base, 2)
     assert cert is not None
     assert cert.groups == ((1, 3, 5), (2, 4))
     validate_certificate(reduced_base, cert)
+    # every column has r+1 rows: two groups of m-r columns
+    cert = partition_search(triples_base, 2)
+    assert cert is not None
+    assert cert.groups == ((1, 2, 3, 4), (5, 6, 7, 8))
+    validate_certificate(triples_base, cert)
 
 
 def test_search_exhausts_without_partition(unpartitionable_base,
                                            relaxed_nonbase):
     assert partition_search(unpartitionable_base, 2) is None
     assert partition_search(relaxed_nonbase, 2) is None
+    # base size, but eight copies of one triple cannot pack two groups
+    assert partition_search(make_pattern(6, [[1, 2, 3]] * 8), 2) is None
 
 
 def test_search_warns_off_base_size():
@@ -59,8 +125,8 @@ def test_certificate_json_round_trip(reduced_base):
     cert = certificate_from_groups(reduced_base, 2, REDUCED_BASE_5X5_GROUPS)
     text = cert.to_json()
     again = parse_certificate(text)
-    # sources are derived bookkeeping and deliberately not serialized
-    assert again.as_dict() == cert.as_dict()
+    # nothing is lost: the parsed certificate equals the built one
+    assert again == cert
     validate_certificate(reduced_base, again)
     d = json.loads(text)
     assert set(d) == {"r", "groups", "phis", "same_phi"}
@@ -104,66 +170,59 @@ def test_same_phi_flag_detection():
 
 def test_singleton_groups_when_rank_is_rows_minus_one():
     p = make_pattern(4, [[1, 2, 3, 4]] * 3)
-    cert = partition_r_eq_m_minus_1(p)
+    cert = _partition_r_eq_m_minus_1(p)
     assert cert.groups == ((1,), (2,), (3,))
     validate_certificate(p, cert)
     with pytest.raises(ContractError):
-        partition_r_eq_m_minus_1(make_pattern(4, [[1, 2, 3]] * 3))
+        _partition_r_eq_m_minus_1(make_pattern(4, [[1, 2, 3]] * 3))
 
 
 def test_pairing_construction_when_rank_is_rows_minus_two():
     p = make_pattern(5, [[1, 2, 3, 4, 5], [1, 2, 3, 4], [1, 2, 3, 4],
                          [1, 2, 3, 5], [1, 2, 3, 5]])
     assert is_relaxed_slmf(p, RelaxedParams(3, 3)) == (True, None)
-    cert = partition_r_eq_m_minus_2(p)
+    cert = _partition_r_eq_m_minus_2(p)
     assert cert.groups == ((1,), (2, 4), (3, 5))
     validate_certificate(p, cert)
     # rejects a pattern that is not relaxed (r,r,m)
     bad = make_pattern(5, [[1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4],
                            [1, 2, 3, 4], [1, 2, 3, 5]])
     with pytest.raises(ContractError):
-        partition_r_eq_m_minus_2(bad)
+        _partition_r_eq_m_minus_2(bad)
 
 
-def test_truncation_matroid_values(triples_base):
-    mat = TruncationMatroid(triples_base, 2)
-    n = triples_base.n
-    assert dilworth_rank(mat, []) == 0
-    for j in range(1, n + 1):
-        assert dilworth_rank(mat, [j]) == 1
-    assert dilworth_rank(mat, range(1, n + 1)) == triples_base.m - 2
-    # independence agrees with rank saturation on every subset
-    for mask in range(1 << n):
-        subset = [j + 1 for j in range(n) if (mask >> j) & 1]
-        assert truncation_independent(mat, subset) == \
-            (dilworth_rank(mat, subset) == len(subset))
+def _agree_with_closed_form(p, r, reference):
+    """Search and closed form agree on existence; both certificates validate."""
+    try:
+        ref = reference(p)
+    except ContractError:
+        ref = None
+    cert = partition_search(p, r)
+    assert (cert is None) == (ref is None), (p.m, r, p.cols)
+    for c in (ref, cert):
+        if c is not None:
+            validate_certificate(p, c)
+    return cert is not None
 
 
-def test_truncation_matroid_requires_uniform_columns(reduced_base):
-    with pytest.raises(ContractError):
-        TruncationMatroid(reduced_base, 2)
-
-
-def test_pack_bases_partitions_the_triples_base(triples_base):
-    mat = TruncationMatroid(triples_base, 2)
-    bases, witness = pack_bases(mat)
-    assert witness is None
-    assert bases == [(1, 2, 3, 4), (5, 6, 7, 8)]
-    for group in bases:
-        ok, _ = is_relaxed_slmf(triples_base, RelaxedParams(1, 2, group))
-        assert ok
-
-
-def test_pack_bases_reports_packing_obstruction():
-    p = make_pattern(6, [[1, 2, 3]] * 8)
-    mat = TruncationMatroid(p, 2)
-    bases, witness = pack_bases(mat)
-    assert bases is None and witness is not None
-    # the witness subset violates the packing count
-    assert witness.size < witness.bound
-    comp = [j for j in range(1, 9) if j not in witness.subset]
-    fhat = dilworth_rank(mat, comp)
-    assert witness.bound == 2 * (6 - 2) - 2 * fhat
+def test_search_matches_closed_forms_at_extreme_ranks():
+    for m in range(2, 9):
+        p = make_pattern(m, [range(1, m + 1)] * (m - 1))
+        assert _agree_with_closed_form(p, m - 1, _partition_r_eq_m_minus_1)
+    rng = random.Random(22)
+    outcomes = set()
+    for _ in range(1000):
+        m = rng.randint(3, 8)
+        alpha = rng.randint(0, m - 3)
+        # alpha full columns, the other 2m-4-2alpha miss one row each
+        cols = [range(1, m + 1)] * alpha
+        for _ in range(2 * m - 4 - 2 * alpha):
+            missing = rng.randint(1, m)
+            cols.append([i for i in range(1, m + 1) if i != missing])
+        rng.shuffle(cols)
+        p = make_pattern(m, cols)
+        outcomes.add(_agree_with_closed_form(p, m - 2, _partition_r_eq_m_minus_2))
+    assert outcomes == {True, False}
 
 
 def test_search_random_certificates_always_validate():
@@ -204,11 +263,13 @@ def _labellings(n, r):
 
 def test_search_matches_brute_force_labelling():
     rng = random.Random(21)
-    for m, n, r in ((5, 5, 2), (6, 6, 2), (6, 5, 3)):
+    # the last shape pins every column to r+1 rows (so n = r(m-r))
+    for m, n, r, pinned in ((5, 5, 2, False), (6, 6, 2, False),
+                            (6, 5, 3, False), (6, 8, 2, True)):
         target = r * (m + n - r)
         outcomes = set()
         for _ in range(100):
-            sizes = [m + 1] * n
+            sizes = [r + 1 if pinned else m + 1] * n
             while sum(sizes) != target:
                 sizes = [rng.randint(r, m) for _ in range(n)]
             p = make_pattern(m, [sorted(rng.sample(range(1, m + 1), s))
