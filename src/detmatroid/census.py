@@ -26,8 +26,7 @@ from .errors import CapacityError, ContractError
 from .fields import DEFAULT_PRIME, prev_prime
 from .oracle import DEFAULT_TRIALS, is_base
 from .partition import partition_search
-from .patterns import (SupportPattern, degrees, emit_pattern, reduce_pattern,
-                       transpose)
+from .patterns import SupportPattern, emit_pattern, reduce_pattern, transpose
 from .seeding import derive_seed
 from .slmf import RelaxedParams, is_relaxed_slmf
 
@@ -91,6 +90,23 @@ def _check_filter(filter: str) -> None:
         raise ContractError("unknown filter %r" % filter)
 
 
+def _check_grid(m: int, n: int, r: int) -> None:
+    if min(m, n, r) < 1:
+        raise ContractError("need m, n, r >= 1, got m=%d n=%d r=%d" % (m, n, r))
+    if m * n > ENUM_CELL_CEILING:
+        raise CapacityError("m*n=%d exceeds the exhaustive ceiling %d"
+                            % (m * n, ENUM_CELL_CEILING))
+
+
+def _min_row_degree(cols, m: int, k: int) -> bool:
+    """Every one of the m rows lies in at least k of the column masks."""
+    reach = [-1] + [0] * k  # reach[t]: rows met by at least t columns so far
+    for c in cols:
+        for t in range(k, 0, -1):
+            reach[t] |= reach[t - 1] & c
+    return reach[k] == (1 << m) - 1
+
+
 def _column_candidates(m: int, r: int, mode: str, col_size: int | None) -> list[int]:
     masks = []
     for mask in range(1 << m):
@@ -114,9 +130,7 @@ def enumerate_patterns(m: int, n: int, r: int,
     canonicalizing every candidate, so each orbit appears exactly once.
     """
     _check_filter(filter)
-    if m * n > ENUM_CELL_CEILING:
-        raise CapacityError("m*n=%d exceeds the exhaustive ceiling %d"
-                            % (m * n, ENUM_CELL_CEILING))
+    _check_grid(m, n, r)
     filtered = filter == "base_size_and_mindeg"
     target = r * (m + n - r) if filtered else None
     candidates = _column_candidates(m, r, filter, col_size)
@@ -135,18 +149,9 @@ def enumerate_patterns(m: int, n: int, r: int,
     chosen: list[int] = []
 
     def emit():
-        pat = SupportPattern(m, n, tuple(chosen))
-        if filtered:
-            row_deg = [0] * m
-            for mask in chosen:
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    row_deg[low.bit_length() - 1] += 1
-                    rest &= rest - 1
-            if any(d < r + 1 for d in row_deg):
-                return None
-        canon = canonical_form(pat)
+        if filtered and not _min_row_degree(chosen, m, r + 1):
+            return None
+        canon = canonical_form(SupportPattern(m, n, tuple(chosen)))
         if canon.cols in seen:
             return None
         seen.add(canon.cols)
@@ -198,14 +203,11 @@ def sample_patterns(m: int, n: int, r: int, count: int, seed: int,
                 r + 1 if filtered else 0, m
             )
             cols.append(sum(1 << i for i in rng.sample(range(m), size)))
-        pat = SupportPattern(m, n, tuple(cols))
-        if filtered:
-            if pat.size() != target:
-                continue
-            row_deg, col_deg = degrees(pat)
-            if min(row_deg + col_deg) < r + 1:
-                continue
-        canon = canonical_form(pat)
+        if filtered and (sum(c.bit_count() for c in cols) != target
+                         or any(c.bit_count() < r + 1 for c in cols)
+                         or not _min_row_degree(cols, m, r + 1)):
+            continue
+        canon = canonical_form(SupportPattern(m, n, tuple(cols)))
         if canon.cols in seen:
             continue
         seen.add(canon.cols)
@@ -411,46 +413,25 @@ def verify_conjecture(m: int, n: int, r: int, prime: int = DEFAULT_PRIME,
                         tuple(counterexamples))
 
 
-def _is_connected_spanning(pattern: SupportPattern) -> bool:
-    """True when the bipartite support graph spans and connects all vertices."""
-    m, n = pattern.m, pattern.n
-    if m + n == 0:
-        return True
-    row_adj = [0] * m  # row -> column mask
-    for j, mask in enumerate(pattern.cols):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            row_adj[low.bit_length() - 1] |= 1 << j
-            rest &= rest - 1
-    seen_rows, seen_cols = 1, 0
-    frontier_rows = 1
-    while frontier_rows or seen_cols:
-        new_cols = 0
-        rest = frontier_rows
-        while rest:
-            low = rest & -rest
-            new_cols |= row_adj[low.bit_length() - 1]
-            rest &= rest - 1
-        new_cols &= ~seen_cols
-        if not new_cols:
-            break
-        seen_cols |= new_cols
-        new_rows = 0
-        rest = new_cols
-        while rest:
-            low = rest & -rest
-            new_rows |= pattern.cols[low.bit_length() - 1]
-            rest &= rest - 1
-        frontier_rows = new_rows & ~seen_rows
-        seen_rows |= frontier_rows
-    return seen_rows == (1 << m) - 1 and seen_cols == (1 << n) - 1
-
-
 def is_spanning_tree(pattern: SupportPattern) -> bool:
-    """The support graph is a tree on all m+n vertices."""
-    return (pattern.size() == pattern.m + pattern.n - 1
-            and _is_connected_spanning(pattern))
+    """The support graph is a tree on all m+n vertices: m+n-1 edges, no cycle."""
+    m = pattern.m
+    if pattern.size() != m + pattern.n - 1:
+        return False
+    parent = list(range(m + pattern.n))  # row i is vertex i-1, column j is m+j-1
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j in pattern.cells():
+        a, b = find(i - 1), find(m + j - 1)
+        if a == b:
+            return False
+        parent[a] = b
+    return True
 
 
 def contains_full_bipartite(pattern: SupportPattern) -> bool:
@@ -491,9 +472,7 @@ def known_facts_crosscheck(m: int, n: int, r: int, prime: int = DEFAULT_PRIME,
     patterns without a K_{m,m} subgraph (rows on the small side), checked
     over every pattern of that size.
     """
-    if m * n > ENUM_CELL_CEILING:
-        raise CapacityError("m*n=%d exceeds the exhaustive ceiling %d"
-                            % (m * n, ENUM_CELL_CEILING))
+    _check_grid(m, n, r)
     small, large = min(m, n), max(m, n)
     if r not in (1, small - 1):
         raise ContractError("crosscheck supports r=1 or r=min(m,n)-1")

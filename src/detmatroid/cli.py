@@ -4,8 +4,8 @@ Subcommands expose the library's decision procedures with stable, scriptable
 I/O: stdout carries exactly one JSON document or one CSV table per run,
 diagnostics go to stderr, and the exit code is 0 for a positive answer, 1 for
 a negative answer, 2 for contract, capacity, or parse errors and for
-internal errors.  All commands accept --seed and are bit-reproducible given
-it.
+internal errors.  The commands that run the rank oracle (certify,
+verify-conjecture, crosscheck) take --seed and are bit-reproducible given it.
 """
 
 from __future__ import annotations
@@ -184,14 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, pattern=True, rank=True, oracle=False):
-        p.add_argument("--seed", type=int, default=0,
-                       help="root seed for all randomness (default 0)")
         if pattern:
             p.add_argument("--pattern", required=True,
                            help="pattern file (indicator grid or JSON)")
         if rank:
             p.add_argument("--r", type=int, required=True, help="target rank")
         if oracle:
+            p.add_argument("--seed", type=int, default=0,
+                           help="root seed for all randomness (default 0)")
             p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
                            help="field modulus (default 2^31-1)")
             p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,

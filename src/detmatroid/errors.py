@@ -16,10 +16,6 @@ class DetmatroidError(Exception):
 class ContractError(DetmatroidError):
     """A documented precondition or invariant was violated by the caller."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class CapacityError(ContractError):
     """Input exceeds a documented exhaustive-computation ceiling."""

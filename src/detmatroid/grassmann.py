@@ -22,7 +22,7 @@ unique rank-r completion when the data is generic, and reports the failing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import linalg
 from .errors import CapacityError, ContractError, GenericityError
@@ -160,21 +160,12 @@ def sparse_perp(phi: Slmf, pl: PluckerVector) -> SparsePerp:
 
 
 def _stage1_normal(key, eligible, observed, r, field):
-    """Left-nullvector of r spanning observed columns restricted to key."""
-    budget = STAGE1_RETRY_BUDGET
-    for combo in combinations(eligible, r):
-        if budget == 0:
-            break
-        budget -= 1
-        cols = [[observed[(i, j)] for j in combo] for i in key]
-        if linalg.rank(cols, field) != r:
-            continue
-        normal = [field.zero] * len(key)
-        for a in range(r + 1):
-            rows = [t for t in range(r + 1) if t != a]
-            minor = linalg.det(linalg.submatrix(cols, rows, range(r)), field)
-            normal[a] = field.neg(minor) if a % 2 else minor
-        return normal
+    """Left kernel of r observed columns restricted to key, when it is a line."""
+    for combo in islice(combinations(eligible, r), STAGE1_RETRY_BUDGET):
+        rows = [[observed[(i, j)] for i in key] for j in combo]
+        kernel = linalg.right_kernel(rows, r + 1, field)
+        if len(kernel) == 1:
+            return kernel[0]
     raise GenericityError(
         "observed columns containing %s do not span an r-space" % (list(key),),
         phi=key,
@@ -193,9 +184,10 @@ def complete_matrix(
     Stage 1 turns each distinct certificate column phi into a normal vector of
     the unknown column space S: pick r observed columns whose supports contain
     phi (lexicographically smallest first, further combinations up to a small
-    retry budget) and whose restrictions to phi span an r-space; the signed
-    maximal minors of that (r+1) x r block are orthogonal to pi_phi(S).
-    Columns contained in fewer than r observed supports contribute nothing.
+    retry budget) and whose restrictions to phi span an r-space; the left
+    kernel of that (r+1) x r block is a line orthogonal to pi_phi(S), spanned
+    by its signed maximal minors.  Columns contained in fewer than r observed
+    supports contribute nothing.
     Stage 2 intersects the normals' orthogonal complements; the kernel must
     have dimension exactly r and is taken as a basis B of S.  Stage 3 solves
     pi_omega_j(B) c = pi_omega_j(x_j) for each column and returns B c.

@@ -25,7 +25,11 @@ class PartitionCertificate:
     r: int
     groups: tuple[tuple[int, ...], ...]
     induced: tuple[Slmf, ...]
-    same_phi: bool
+
+    @property
+    def same_phi(self) -> bool:
+        """Every group induces the same column system, up to column order."""
+        return len({tuple(sorted(phi.cols)) for phi in self.induced}) == 1
 
     def as_dict(self) -> dict:
         phis = []
@@ -47,8 +51,20 @@ class PartitionCertificate:
         return json.dumps(self.as_dict()) + "\n"
 
 
-def _phi_key(phi: Slmf) -> tuple[int, ...]:
-    return tuple(sorted(phi.cols))
+def _check_groups(groups, n: int, r: int) -> None:
+    """Raise ContractError unless r nonempty groups cover columns 1..n once."""
+    if len(groups) != r:
+        raise ContractError("expected %d groups, got %d" % (r, len(groups)))
+    seen = set()
+    for g in groups:
+        if not g:
+            raise ContractError("groups must be nonempty")
+        for j in g:
+            if j in seen:
+                raise ContractError("column %d appears in two groups" % j)
+            seen.add(j)
+    if seen != set(range(1, n + 1)):
+        raise ContractError("groups must cover columns 1..%d exactly" % n)
 
 
 def certificate_from_groups(pattern: SupportPattern, r: int, groups) -> PartitionCertificate:
@@ -58,20 +74,10 @@ def certificate_from_groups(pattern: SupportPattern, r: int, groups) -> Partitio
     relaxed (1,r,m)-SLMF (induce_slmf raises otherwise).
     """
     norm = [tuple(sorted(g)) for g in groups]
-    if len(norm) != r:
-        raise ContractError("expected %d groups, got %d" % (r, len(norm)))
-    seen = set()
-    for g in norm:
-        for j in g:
-            if j in seen:
-                raise ContractError("column %d appears in two groups" % j)
-            seen.add(j)
-    if seen != set(range(1, pattern.n + 1)):
-        raise ContractError("groups must cover columns 1..%d exactly" % pattern.n)
+    _check_groups(norm, pattern.n, r)
     norm.sort(key=lambda g: g[0])
     induced = tuple(induce_slmf(pattern, g, r) for g in norm)
-    keys = {_phi_key(phi) for phi in induced}
-    return PartitionCertificate(r, tuple(norm), induced, len(keys) == 1)
+    return PartitionCertificate(r, tuple(norm), induced)
 
 
 def parse_certificate(text: str) -> PartitionCertificate:
@@ -123,34 +129,25 @@ def parse_certificate(text: str) -> PartitionCertificate:
             induced.append(Slmf(r, m, tuple(cols)))
         except ContractError as exc:
             raise ParseError("phis[%d]: %s" % (pi, exc)) from None
-    keys = {_phi_key(phi) for phi in induced}
-    same_phi = data["same_phi"]
-    if not isinstance(same_phi, bool):
+    cert = PartitionCertificate(r, tuple(groups), tuple(induced))
+    if not isinstance(data["same_phi"], bool):
         raise ParseError("field 'same_phi': expected a boolean")
-    if same_phi != (len(keys) == 1):
+    if data["same_phi"] != cert.same_phi:
         raise ParseError("same_phi flag inconsistent with phis")
-    return PartitionCertificate(r, tuple(groups), tuple(induced), same_phi)
+    return cert
 
 
 def validate_certificate(pattern: SupportPattern, cert: PartitionCertificate) -> None:
     """Raise ContractError unless cert is a valid certificate for pattern."""
-    seen = set()
-    for g in cert.groups:
-        for j in g:
-            if not 1 <= j <= pattern.n or j in seen:
-                raise ContractError("invalid group member %d" % j)
-            seen.add(j)
-    if seen != set(range(1, pattern.n + 1)):
-        raise ContractError("groups do not cover columns 1..%d" % pattern.n)
-    if len(cert.groups) != cert.r or len(cert.induced) != cert.r:
-        raise ContractError("expected %d groups and induced systems" % cert.r)
+    _check_groups(cert.groups, pattern.n, cert.r)
+    if len(cert.induced) != cert.r:
+        raise ContractError("expected %d induced systems" % cert.r)
     for g, phi in zip(cert.groups, cert.induced):
         ok, witness = is_relaxed_slmf(pattern, RelaxedParams(1, cert.r, g))
         if not ok:
             raise ContractError(
                 "group %s is not relaxed (1,%d,%d): %s"
-                % (list(g), cert.r, pattern.m, witness.as_dict()),
-                witness=witness,
+                % (list(g), cert.r, pattern.m, witness.as_dict())
             )
         if phi.m != pattern.m or phi.r != cert.r:
             raise ContractError("induced system shape mismatch")
@@ -164,9 +161,6 @@ def validate_certificate(pattern: SupportPattern, cert: PartitionCertificate) ->
                     "induced column %s not contained in any group support"
                     % (list(_rows_of(pmask)),)
                 )
-    keys = {_phi_key(phi) for phi in cert.induced}
-    if cert.same_phi != (len(keys) == 1):
-        raise ContractError("same_phi flag inconsistent with induced systems")
 
 
 def _excess(mask: int, r: int) -> int:

@@ -211,7 +211,7 @@ def induce_slmf(pattern: SupportPattern, group, r: int) -> Slmf:
     ascending order; columns of size <= r contribute nothing.  Output columns
     are ordered by (source column, added row).
 
-    Raises ContractError (with the violation witness attached) when the group
+    Raises ContractError (its message names the violation) when the group
     is not relaxed (1,r,m); by the counting identity the construction then
     yields exactly m-r columns, and the result always passes is_slmf.
     """
@@ -220,8 +220,7 @@ def induce_slmf(pattern: SupportPattern, group, r: int) -> Slmf:
     if not ok:
         raise ContractError(
             "group %s is not a relaxed (1,%d,%d)-SLMF: %s"
-            % (list(group), r, pattern.m, witness.as_dict()),
-            witness=witness,
+            % (list(group), r, pattern.m, witness.as_dict())
         )
     cols = []
     for j in sorted(group):

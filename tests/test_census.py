@@ -267,6 +267,10 @@ def test_graph_predicates():
     assert not is_spanning_tree(cycle)
     forest = make_pattern(4, [[1, 2], [3, 4], []])
     assert not is_spanning_tree(forest)
+    # one vertex is a tree; two without an edge are not
+    assert is_spanning_tree(SupportPattern(0, 1, (0,)))
+    assert is_spanning_tree(SupportPattern(1, 0, ()))
+    assert not is_spanning_tree(SupportPattern(0, 2, (0, 0)))
     assert contains_full_bipartite(make_pattern(3, [[1, 2, 3]] * 3 + [[1]]))
     assert not contains_full_bipartite(make_pattern(3, [[1, 2, 3]] * 2 + [[1, 2]]))
 

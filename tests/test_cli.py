@@ -310,7 +310,9 @@ def test_complete_degenerate_observations_exit_one(tmp_path, capsys):
                                    "--r", "2", "--certificate", str(cpath),
                                    "--observations", str(opath)])
     assert code == 1
-    assert "not generic" in err
+    # rank-1 data: stage 1 refuses on the first certificate column
+    assert err == ("not generic: observed columns containing [1, 2, 4] do not "
+                   "span an r-space (phi=[1, 2, 4])\n")
 
 
 def test_complete_takes_prime_but_refuses_trials(tmp_path, capsys):
@@ -393,3 +395,25 @@ def test_seed_flag_reproducibility(tmp_path, capsys):
                                      "--seed", "11"])
         runs.append((code, out))
     assert runs[0] == runs[1]
+    # only the commands that run the rank oracle read a seed
+    files = ["--certificate", "c.json", "--observations", "o.csv"]
+    for argv in (["check-slmf"], ["check-relaxed"], ["partition"],
+                 ["complete"] + files):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--pattern", path, "--r", "2", "--seed", "11"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --seed 11" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["crosscheck", "--m", "0", "--n", "3", "--r", "1"],
+    ["crosscheck", "--m", "0", "--n", "1", "--r", "1"],
+    ["verify-conjecture", "--m", "3", "--n", "3", "--r", "0"],
+], ids=["crosscheck-0x3", "crosscheck-0x1", "verify-conjecture-r0"])
+def test_degenerate_grid_exits_two_naming_its_cause(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: need m, n, r >= 1")
+    assert "internal error" not in err

@@ -50,8 +50,7 @@ def _partition_r_eq_m_minus_2(pattern):
     if not ok:
         raise ContractError(
             "pattern is not a relaxed (%d,%d,%d)-SLMF: %s"
-            % (r, r, m, witness.as_dict()),
-            witness=witness,
+            % (r, r, m, witness.as_dict())
         )
     full = (1 << m) - 1
     full_cols, partial_cols = [], []
@@ -133,16 +132,28 @@ def test_certificate_json_round_trip(reduced_base):
     assert d["r"] == 2
 
 
-def test_parse_certificate_rejects_malformed():
+def test_parse_certificate_rejects_malformed(reduced_base):
     with pytest.raises(ParseError):
         parse_certificate("{}")
     with pytest.raises(ParseError):
         parse_certificate(json.dumps({"r": 2, "groups": [[1]], "phis": [],
                                       "same_phi": False}))
+    # same_phi is derived from the phis, so a flipped flag contradicts them
+    d = certificate_from_groups(reduced_base, 2, REDUCED_BASE_5X5_GROUPS).as_dict()
+    d["same_phi"] = not d["same_phi"]
+    with pytest.raises(ParseError, match="same_phi flag inconsistent"):
+        parse_certificate(json.dumps(d))
 
 
 def test_validate_certificate_rejects_tampering(reduced_base):
     cert = certificate_from_groups(reduced_base, 2, REDUCED_BASE_5X5_GROUPS)
+    # building a certificate runs the same group check as validating one
+    for groups, message in [([[1, 3, 4], [2, 4, 5]], "column 4 appears in two"),
+                            ([[1, 3, 4], [2]], "cover columns 1..5 exactly"),
+                            ([[1, 3, 4, 2, 5]], "expected 2 groups, got 1"),
+                            ([[1, 2, 3, 4, 5], []], "groups must be nonempty")]:
+        with pytest.raises(ContractError, match=message):
+            certificate_from_groups(reduced_base, 2, groups)
     # groups must cover every column exactly once
     with pytest.raises(ContractError):
         validate_certificate(reduced_base,
