@@ -80,7 +80,7 @@ def cmd_partition(args) -> int:
     pattern = _load_pattern(args)
     if args.certificate is not None:
         cert = parse_certificate(_read(args.certificate))
-        validate_certificate(pattern, cert)
+        validate_certificate(pattern, cert, args.r)
         _emit_json({"valid": True, "certificate": cert.as_dict()})
         return 0
     cert = partition_search(pattern, args.r,

@@ -196,9 +196,7 @@ def complete_matrix(
     whenever a dimension check fails; resampling the data is the remedy.
     ContractError signals a certificate/observation mismatch instead.
     """
-    if cert.r != r:
-        raise ContractError("certificate rank %d differs from r=%d" % (cert.r, r))
-    validate_certificate(pattern, cert)
+    validate_certificate(pattern, cert, r)
     cells = set()
     for j, mask in enumerate(pattern.cols, start=1):
         for i in _rows_of(mask):

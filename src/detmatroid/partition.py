@@ -137,8 +137,11 @@ def parse_certificate(text: str) -> PartitionCertificate:
     return cert
 
 
-def validate_certificate(pattern: SupportPattern, cert: PartitionCertificate) -> None:
-    """Raise ContractError unless cert is a valid certificate for pattern."""
+def validate_certificate(pattern: SupportPattern, cert: PartitionCertificate,
+                         r: int) -> None:
+    """Raise ContractError unless cert is a valid rank-r certificate for pattern."""
+    if cert.r != r:
+        raise ContractError("certificate rank %d differs from r=%d" % (cert.r, r))
     _check_groups(cert.groups, pattern.n, cert.r)
     if len(cert.induced) != cert.r:
         raise ContractError("expected %d induced systems" % cert.r)
@@ -184,7 +187,10 @@ def partition_search(
     prune implies the relaxed condition for each group (the worst row set is
     always a union of group columns), so the leaf is a certificate; building
     it re-runs the relaxed check as a safety check, and a failure there
-    raises.  None means the search was exhaustive and no partition exists.
+    raises.  That check takes the column-union route of is_relaxed_slmf:
+    one pass over the 2^p subsets of a group's p positive-excess columns,
+    the sets the prune already checked, instead of a scan of row subsets.
+    None means the search was exhaustive and no partition exists.
     """
     m, n = pattern.m, pattern.n
     if r < 1 or r >= m:

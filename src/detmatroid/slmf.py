@@ -87,15 +87,57 @@ def _selected_masks(pattern: SupportPattern, params: RelaxedParams) -> list[int]
     return masks
 
 
+def _unions_cover_excess(excess_cols: list[tuple[int, int]], r: int) -> bool:
+    """True when every nonempty set S of (mask, excess) columns has
+    sum of excesses over S <= #(union of S) - r.
+
+    Depth-first over the subsets, each reached once as the extension of S
+    minus its last column, so memory stays quadratic in the column count.
+    """
+    stack = [(0, 0, 0)]
+    while stack:
+        union, esum, start = stack.pop()
+        for t in range(start, len(excess_cols)):
+            mask, e = excess_cols[t]
+            u, s = union | mask, esum + e
+            if s > u.bit_count() - r:
+                return False
+            stack.append((u, s, t + 1))
+    return True
+
+
 def is_relaxed_slmf(
     pattern: SupportPattern,
     params: RelaxedParams,
 ) -> tuple[bool, ViolationWitness | None]:
-    """Decide the relaxed (nu,r,m) condition by scanning all row subsets.
+    """Decide the relaxed (nu,r,m) condition.
 
     Returns (True, None) or (False, witness); the witness row set is minimal
     in size and lexicographically least among that size.  Requires r < m
     (no row subset of size r+1 exists otherwise) and m <= RELAXED_SCAN_CEILING.
+
+    At nu = 1 the worst row set is always a union of columns of positive
+    excess e_j = #omega_j - r: from any I, keep the rows inside the union U
+    of the columns with more than r rows in I, then add the rest of U; each
+    added row raises the left side by at least one and the right side by
+    exactly one, and repeating until U is closed never lowers the violation.
+    So (1,r,m) holds exactly when the e_j sum to m-r and every nonempty set
+    S of positive-excess columns has sum of e_j over S <= #(union of S) - r.
+    When the sum holds there are at most m-r such columns, and this route
+    enumerates at most 2^(m-r) column sets instead of the row subsets; it
+    only ever answers True.
+
+    Every other case, and every negative answer, comes from the row scan:
+    sizes r+1..m in ascending order, each size in combinations order, so
+    the first violation met is the witness.  Each column's count
+    #(omega_j & I) sits in a w-bit field of one integer, biased so that the
+    field's top bit is set exactly when the count reaches r; the left side
+    is then a mask-and-multiply followed by a digit sum mod 2^w - 1.  The
+    row sets of one size that share their first k-1 rows share that head's
+    packed sum, and a head is skipped when its own left side plus its count
+    of columns holding r rows stays within the bound, since one more row
+    adds at most one per such column.  The full row set needs no scan: its
+    left side is the total excess.
     """
     r, nu = params.r, params.nu
     if r >= pattern.m:
@@ -106,28 +148,46 @@ def is_relaxed_slmf(
                             % (pattern.m, RELAXED_SCAN_CEILING))
     masks = _selected_masks(pattern, params)
     m = pattern.m
-    for k in range(r + 1, m + 1):
+    excess_cols = [(c, c.bit_count() - r) for c in masks if c.bit_count() > r]
+    total = sum(e for _, e in excess_cols)
+    if nu == 1 and total == m - r and _unions_cover_excess(excess_cols, r):
+        return True, None
+
+    # 2^(w-1) exceeds every field's excess and their sum, and the bias
+    # 2^(w-1) - r stays nonnegative since r < m <= RELAXED_SCAN_CEILING < 32
+    w = max(6, total.bit_length() + 1)
+    half = 1 << (w - 1)
+    fold, low = (1 << w) - 1, half - 1
+    bias = high = 0
+    row_vecs = [0] * m
+    for j, cmask in enumerate(masks):
+        bias |= (half - r) << (w * j)
+        high |= half << (w * j)
+        for i in _rows_of(cmask):
+            row_vecs[i - 1] += 1 << (w * j)
+
+    def witness(rows, lhs, rhs, kind):
+        return False, ViolationWitness(tuple(i + 1 for i in rows), lhs, rhs, kind)
+
+    for k in range(r + 1, m):
         rhs = nu * (k - r)
-        for rows in combinations(range(m), k):
-            imask = 0
-            for i in rows:
-                imask |= 1 << i
-            lhs = 0
-            for cmask in masks:
-                t = (cmask & imask).bit_count() - r
-                if t > 0:
-                    lhs += t
-            if lhs > rhs:
-                witness = ViolationWitness(
-                    tuple(i + 1 for i in rows), lhs, rhs, "inequality_violated"
-                )
-                return False, witness
-            if k == m and lhs < rhs:
-                witness = ViolationWitness(
-                    tuple(i + 1 for i in rows), lhs, rhs,
-                    "equality_failed_at_full_set",
-                )
-                return False, witness
+        for head in combinations(range(m - 1), k - 1):
+            base = bias + sum(map(row_vecs.__getitem__, head))
+            # one more row adds at most one per column already holding r
+            # rows of the head, so a head within that margin has no witness
+            flags = (base & high) >> (w - 1)
+            if (base & flags * low) % fold + flags.bit_count() <= rhs:
+                continue
+            for x in range(head[-1] + 1, m):
+                t = base + row_vecs[x]
+                lhs = (t & ((t & high) >> (w - 1)) * low) % fold
+                if lhs > rhs:
+                    return witness(head + (x,), lhs, rhs, "inequality_violated")
+    rhs = nu * (m - r)
+    if total > rhs:
+        return witness(range(m), total, rhs, "inequality_violated")
+    if total < rhs:
+        return witness(range(m), total, rhs, "equality_failed_at_full_set")
     return True, None
 
 

@@ -98,10 +98,10 @@ def test_criterion_04_reduction_unlocks_partition():
     assert ok
     # the documented hand partition validates, and search finds some partition
     hand = certificate_from_groups(reduced, 2, [[1, 3, 4], [2, 5]])
-    validate_certificate(reduced, hand)
+    validate_certificate(reduced, hand, 2)
     found = partition_search(reduced, 2)
     assert found is not None
-    validate_certificate(reduced, found)
+    validate_certificate(reduced, found, 2)
     assert is_base(omega, 2).verdict == "base"
     assert is_base(reduced, 2).verdict == "base"
     _budget(start, 5.0)

@@ -258,6 +258,17 @@ def test_complete_round_trips_exactly(tmp_path, capsys):
     assert got == x
 
 
+@pytest.mark.parametrize("r", [1, 3])
+def test_certificate_of_another_rank_exits_two(tmp_path, capsys, r):
+    # validating a certificate and completing from it refuse it alike
+    ppath, cpath, opath, _ = _completion_files(tmp_path)
+    for argv in (["partition"], ["complete", "--observations", str(opath)]):
+        code, out, err = _run(capsys, argv + [
+            "--pattern", str(ppath), "--r", str(r), "--certificate", str(cpath)])
+        assert (code, out) == (2, "")
+        assert err == "error: certificate rank 2 differs from r=%d\n" % r
+
+
 def test_complete_over_rationals(tmp_path, capsys):
     pattern = make_pattern(6, FULLY_REDUCIBLE_BASE_6X5)
     ppath = tmp_path / "pattern.txt"

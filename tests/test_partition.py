@@ -79,7 +79,7 @@ def test_search_finds_partition_on_reducible_base(fully_reducible_base):
     cert = partition_search(fully_reducible_base, 2)
     assert cert is not None
     assert cert.groups == ((1, 2, 3), (4, 5))
-    validate_certificate(fully_reducible_base, cert)
+    validate_certificate(fully_reducible_base, cert, 2)
     for phi in cert.induced:
         assert is_slmf(phi) == (True, None)
 
@@ -88,12 +88,12 @@ def test_search_finds_partition_on_reduced_base(reduced_base, triples_base):
     cert = partition_search(reduced_base, 2)
     assert cert is not None
     assert cert.groups == ((1, 3, 5), (2, 4))
-    validate_certificate(reduced_base, cert)
+    validate_certificate(reduced_base, cert, 2)
     # every column has r+1 rows: two groups of m-r columns
     cert = partition_search(triples_base, 2)
     assert cert is not None
     assert cert.groups == ((1, 2, 3, 4), (5, 6, 7, 8))
-    validate_certificate(triples_base, cert)
+    validate_certificate(triples_base, cert, 2)
 
 
 def test_search_exhausts_without_partition(unpartitionable_base,
@@ -112,7 +112,7 @@ def test_search_warns_off_base_size():
 
 def test_hand_partition_builds_valid_certificate(reduced_base):
     cert = certificate_from_groups(reduced_base, 2, REDUCED_BASE_5X5_GROUPS)
-    validate_certificate(reduced_base, cert)
+    validate_certificate(reduced_base, cert, 2)
     assert cert.groups == ((1, 3, 4), (2, 5))
     # each group satisfies the single-slack counting condition
     for group in cert.groups:
@@ -126,7 +126,7 @@ def test_certificate_json_round_trip(reduced_base):
     again = parse_certificate(text)
     # nothing is lost: the parsed certificate equals the built one
     assert again == cert
-    validate_certificate(reduced_base, again)
+    validate_certificate(reduced_base, again, 2)
     d = json.loads(text)
     assert set(d) == {"r", "groups", "phis", "same_phi"}
     assert d["r"] == 2
@@ -162,11 +162,16 @@ def test_validate_certificate_rejects_tampering(reduced_base):
                                  "groups": [[1, 3, 4], [2, 4, 5]],
                                  "phis": [s for s in json.loads(cert.to_json())["phis"]],
                                  "same_phi": False,
-                             })))
+                             })), 2)
     # a certificate for a different pattern must not validate
     other = make_pattern(5, RELAXED_NONBASE_5X5)
     with pytest.raises(ContractError):
-        validate_certificate(other, cert)
+        validate_certificate(other, cert, 2)
+    # nor one of another rank than the caller asks for
+    for r in (1, 3):
+        with pytest.raises(ContractError,
+                           match="certificate rank 2 differs from r=%d" % r):
+            validate_certificate(reduced_base, cert, r)
 
 
 def test_same_phi_flag_detection():
@@ -176,14 +181,14 @@ def test_same_phi_flag_detection():
     assert cert is not None and cert.same_phi
     cert2 = partition_search(p, 2, prefer_same_phi=True)
     assert cert2 is not None and cert2.same_phi
-    validate_certificate(p, cert2)
+    validate_certificate(p, cert2, 2)
 
 
 def test_singleton_groups_when_rank_is_rows_minus_one():
     p = make_pattern(4, [[1, 2, 3, 4]] * 3)
     cert = _partition_r_eq_m_minus_1(p)
     assert cert.groups == ((1,), (2,), (3,))
-    validate_certificate(p, cert)
+    validate_certificate(p, cert, 3)
     with pytest.raises(ContractError):
         _partition_r_eq_m_minus_1(make_pattern(4, [[1, 2, 3]] * 3))
 
@@ -194,7 +199,7 @@ def test_pairing_construction_when_rank_is_rows_minus_two():
     assert is_relaxed_slmf(p, RelaxedParams(3, 3)) == (True, None)
     cert = _partition_r_eq_m_minus_2(p)
     assert cert.groups == ((1,), (2, 4), (3, 5))
-    validate_certificate(p, cert)
+    validate_certificate(p, cert, 3)
     # rejects a pattern that is not relaxed (r,r,m)
     bad = make_pattern(5, [[1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4],
                            [1, 2, 3, 4], [1, 2, 3, 5]])
@@ -212,7 +217,7 @@ def _agree_with_closed_form(p, r, reference):
     assert (cert is None) == (ref is None), (p.m, r, p.cols)
     for c in (ref, cert):
         if c is not None:
-            validate_certificate(p, c)
+            validate_certificate(p, c, r)
     return cert is not None
 
 
@@ -252,7 +257,7 @@ def test_search_random_certificates_always_validate():
         if cert is None:
             continue
         found += 1
-        validate_certificate(p, cert)
+        validate_certificate(p, cert, r)
     assert found > 0
 
 
@@ -293,6 +298,6 @@ def test_search_matches_brute_force_labelling():
             cert = partition_search(p, r)
             assert (cert is not None) == exists, (m, n, r, p.cols)
             if cert is not None:
-                validate_certificate(p, cert)
+                validate_certificate(p, cert, r)
             outcomes.add(exists)
         assert outcomes == {True, False}

@@ -3,15 +3,60 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from conftest import (RELAXED_NONBASE_5X5, REDUCED_BASE_5X5,
                       REDUCED_BASE_5X5_GROUPS, UNPARTITIONABLE_BASE_6X5,
                       make_pattern)
-from detmatroid import (ContractError, RelaxedParams, Slmf, induce_slmf,
-                        is_relaxed_slmf, is_slmf, is_slmf_via_matching)
+from detmatroid import (ContractError, RelaxedParams, Slmf, SupportPattern,
+                        ViolationWitness, induce_slmf, is_relaxed_slmf,
+                        is_slmf, is_slmf_via_matching)
+
+
+def _is_relaxed_slmf_by_scan(pattern, params):
+    """Reference: the plain scan over every row subset of size r+1..m.
+
+    Builds each row mask and sums the column excesses one column at a time;
+    the first violation in (size, combinations order) is the witness.
+    """
+    r, nu, m = params.r, params.nu, pattern.m
+    if params.restricted_to is None:
+        masks = list(pattern.cols)
+    else:
+        masks = [pattern.cols[j - 1] for j in params.restricted_to]
+    for k in range(r + 1, m + 1):
+        rhs = nu * (k - r)
+        for rows in combinations(range(m), k):
+            imask = 0
+            for i in rows:
+                imask |= 1 << i
+            lhs = 0
+            for cmask in masks:
+                t = (cmask & imask).bit_count() - r
+                if t > 0:
+                    lhs += t
+            if lhs > rhs:
+                return False, ViolationWitness(
+                    tuple(i + 1 for i in rows), lhs, rhs, "inequality_violated")
+            if k == m and lhs < rhs:
+                return False, ViolationWitness(
+                    tuple(i + 1 for i in rows), lhs, rhs,
+                    "equality_failed_at_full_set")
+    return True, None
+
+
+def _random_columns(rng, m, sizes):
+    return [rng.sample(range(1, m + 1), s) for s in sizes]
+
+
+def _sizes_summing_to(rng, parts, total, lo, hi):
+    """Random sizes lo <= s <= hi for `parts` columns, summing to total."""
+    sizes = [lo] * parts
+    for _ in range(total - parts * lo):
+        sizes[rng.choice([j for j in range(parts) if sizes[j] < hi])] += 1
+    return sizes
 
 
 def test_relaxed_params_validation():
@@ -104,3 +149,84 @@ def test_induce_slmf_from_valid_groups(reduced_base):
 def test_induce_slmf_rejects_non_relaxed_group(relaxed_nonbase):
     with pytest.raises(ContractError):
         induce_slmf(relaxed_nonbase, [1, 2, 3], 2)
+
+
+def _check_against_scan(pattern, params):
+    got = is_relaxed_slmf(pattern, params)
+    assert got == _is_relaxed_slmf_by_scan(pattern, params), (
+        pattern.m, pattern.cols, params)
+    return got
+
+
+def test_relaxed_check_matches_scan_reference():
+    # half the patterns have base size r(m+n-r), where most are relaxed at
+    # nu=r; the rest have free column sizes and mostly fail, some at [m];
+    # every tenth has so many near-full columns that the witness sum can
+    # pass 63, the largest sum a 6-bit field holds
+    rng = random.Random(30)
+    kinds = set()
+    for trial in range(600):
+        m = rng.randint(2, 10)
+        r = rng.randint(1, m - 1)
+        n = rng.randint(1, 2 * m)
+        if trial % 10 == 0:
+            sizes = [rng.randint(m - 1, m) for _ in range(8 * m)]
+        elif trial % 2:
+            total = min(max(r * (m + n - r), n), n * m)
+            sizes = _sizes_summing_to(rng, n, total, 1, m)
+        else:
+            sizes = [rng.randint(0, m) for _ in range(n)]
+        n = len(sizes)
+        pattern = SupportPattern.from_columns(m, _random_columns(rng, m, sizes))
+        for nu in range(1, r + 1):
+            group = tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            for restricted in (None, group):
+                ok, witness = _check_against_scan(
+                    pattern, RelaxedParams(nu, r, restricted))
+                kinds.add("relaxed" if ok else witness.kind)
+    assert kinds == {"relaxed", "inequality_violated",
+                     "equality_failed_at_full_set"}
+
+
+def test_relaxed_check_matches_scan_reference_at_16x16():
+    # the first seeded draw that is relaxed at nu=r, so that size runs the
+    # whole scan; the smaller nu and the 4-column group fail on it
+    rng = random.Random(32)
+    m, r = 16, 4
+    while True:
+        pattern = SupportPattern.from_columns(m, _random_columns(rng, m, [7] * 16))
+        if _is_relaxed_slmf_by_scan(pattern, RelaxedParams(r, r))[0]:
+            break
+    assert is_relaxed_slmf(pattern, RelaxedParams(r, r)) == (True, None)
+    for nu in range(1, r):
+        assert not _check_against_scan(pattern, RelaxedParams(nu, r))[0]
+    assert not _check_against_scan(pattern, RelaxedParams(1, r, (1, 5, 9, 13)))[0]
+
+
+def test_relaxed_nu1_column_route_matches_scan_reference():
+    # groups whose excesses #omega_j - r sum to m-r are decided by column
+    # unions when they pass; the others, and the failures, by the row scan
+    rng = random.Random(31)
+    quota_outcomes, outcomes, row_scan_only = set(), set(), 0
+    for trial in range(600):
+        m = rng.randint(3, 10)
+        r = rng.randint(1, m - 2)
+        if trial % 4:
+            excesses = _sizes_summing_to(rng, rng.randint(1, m - r), m - r,
+                                         1, m - r)
+            sizes = [r + e for e in excesses]
+            sizes += [rng.randint(0, r) for _ in range(rng.randint(0, 3))]
+        else:
+            sizes = [rng.randint(r + 1, m) for _ in range(rng.randint(1, m + 2))]
+        rng.shuffle(sizes)
+        pattern = SupportPattern.from_columns(m, _random_columns(rng, m, sizes))
+        group = list(range(1, len(sizes) + 1))
+        rng.shuffle(group)
+        ok, _ = _check_against_scan(pattern, RelaxedParams(1, r, tuple(group)))
+        outcomes.add(ok)
+        if sum(max(s - r, 0) for s in sizes) == m - r:
+            quota_outcomes.add(ok)
+        if sum(s > r for s in sizes) >= m:
+            row_scan_only += 1
+    assert quota_outcomes == outcomes == {True, False}
+    assert row_scan_only > 0
