@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ContractError
 
@@ -19,8 +20,11 @@ DEFAULT_PRIME = 2147483647  # 2^31 - 1, Mersenne
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=256)
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic for n < 3.3e24 with the fixed base set."""
+    """Miller-Rabin; deterministic for n < 3.3e24 with the fixed base set.
+
+    Memoised: the oracle builds a PrimeField for every Jacobian trial."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -84,10 +88,8 @@ class PrimeField:
         return -a % self.p
 
     def sub_scaled(self, x: list, f, y: list, start: int) -> None:
-        """x[j] -= f*y[j] for j >= start, in place (the elimination row update).
-
-        Zeros of y are skipped: pivot rows of the oracle's Schur complement
-        are about half zeros."""
+        """x[j] -= f*y[j] for j >= start, in place (the elimination row update);
+        zeros of y are skipped."""
         p = self.p
         for j in range(start, len(x)):
             b = y[j]

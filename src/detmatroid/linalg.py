@@ -3,9 +3,14 @@
 Matrices are lists of row lists of field elements.  Everything is plain
 Gaussian elimination; matrices here are desk-scale (tens of rows), so no
 pivoting strategy beyond "first nonzero" is needed and arithmetic stays exact.
+rref, det, solve_unique, right_kernel and the rational rank share one
+element-wise core, _eliminate; the GF(p) rank runs on packed integer rows
+(_rank_mod_p) with w = 2*bitlen(p) + bitlen(cols) + 1 bits per column.
 """
 
 from __future__ import annotations
+
+from .fields import PrimeField
 
 
 def mat_transpose(a: list[list]) -> list[list]:
@@ -84,8 +89,55 @@ def _eliminate(a: list[list], field) -> tuple[list[list], list[int], int, list]:
     return m, pivots, swaps, inverses
 
 
+def _rank_mod_p(a: list[list], p: int) -> int:
+    """Rank over GF(p) of a matrix of ints (any residues, negative too).
+
+    Each row is packed into one int, entries reduced mod p, column j in the
+    w-bit slot at bit w*j.  The first row whose lead f = slot 0 mod p is
+    nonzero is the pivot: reduced slot by slot, scaled to lead 1 and negated.
+    Every later row with a nonzero lead f gains f * pivot, which zeroes its
+    lead mod p; then all rows shift right by w, dropping the eliminated
+    column, and rows that reach 0 go.  Nothing is subtracted, so slots never
+    borrow; a row takes at most cols updates, each adding less than p^2 to a
+    slot, so a slot stays below (cols + 1) * p^2 < 2^(w-1) and never carries
+    into the next.
+    """
+    cols = len(a[0]) if a else 0
+    w = 2 * p.bit_length() + cols.bit_length() + 1
+    mask = (1 << w) - 1
+    rows = [x for x in (sum(v % p << w * j for j, v in enumerate(row) if v)
+                        for row in a) if x]
+    count = 0
+    while rows:
+        pivot = 0
+        rest = []
+        for x in rows:
+            f = (x & mask) % p
+            if f:
+                if not pivot:
+                    neg_inv = p - pow(f, -1, p)
+                    shift = 0
+                    while x:
+                        pivot |= (x & mask) * neg_inv % p << shift
+                        x >>= w
+                        shift += w
+                    count += 1
+                    continue
+                x += f * pivot
+            x >>= w
+            if x:
+                rest.append(x)
+        rows = rest
+    return count
+
+
 def rank(a: list[list], field) -> int:
-    """Rank by forward elimination on a working copy."""
+    """Rank of a.  Over GF(p), elimination on packed rows (_rank_mod_p: one
+    int per row, w = 2*bitlen(p) + bitlen(cols) + 1 bits per column, so no
+    slot reaches 2^(w-1)); over other fields, forward elimination on a
+    working copy."""
+    if isinstance(field, PrimeField):
+        return _rank_mod_p(a, field.p)
     return len(_eliminate(a, field)[1])
 
 

@@ -160,6 +160,8 @@ def is_base(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
 
     Takes the max of jacobian_rank over the trials (rank is never
     overestimated), stopping early once the rank reaches the pattern size.
+    A trial misses full rank with probability at most |Omega|/p, so a prime
+    p <= |Omega| is refused with ContractError.
     """
     m, n = pattern.m, pattern.n
     if not 0 <= r <= min(m, n):
@@ -167,6 +169,10 @@ def is_base(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     if trials < 1:
         raise ContractError("trials must be >= 1")
     size = pattern.size()
+    if p <= size:
+        raise ContractError(
+            "prime p=%d must exceed |Omega|=%d: a trial misses full rank with "
+            "probability up to |Omega|/p (Schwartz-Zippel)" % (p, size))
     dim = r * (m + n - r)
     best = 0
     ran = 0

@@ -220,6 +220,17 @@ def test_certify_contradiction_exits_two(tmp_path, capsys, monkeypatch,
     assert line in err
 
 
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_certify_refuses_prime_not_above_pattern_size(tmp_path, capsys, prime):
+    # the Schwartz-Zippel miss bound |Omega|/p is >= 1: a tiny prime is the
+    # caller's error, not a contradiction between the stages
+    path = _write_pattern(tmp_path, "p.txt", 6, FULLY_REDUCIBLE_BASE_6X5)
+    code, out, err = _run(capsys, ["certify", "--pattern", path, "--r", "2",
+                                   "--prime", str(prime)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: prime p=%d must exceed |Omega|=18" % prime)
+
+
 def test_unexpected_exception_exits_two(tmp_path, capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("boom")

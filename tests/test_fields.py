@@ -48,10 +48,12 @@ def test_prev_prime_chain_below_default():
 
 
 def test_prime_field_requires_prime_modulus():
-    with pytest.raises(ContractError):
-        PrimeField(10)
-    with pytest.raises(ContractError):
-        PrimeField(1)
+    # twice: the primality test is memoised, and the refusal must not be
+    for _ in range(2):
+        with pytest.raises(ContractError):
+            PrimeField(10)
+        with pytest.raises(ContractError):
+            PrimeField(1)
 
 
 def test_prime_field_arithmetic_axioms():

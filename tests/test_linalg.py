@@ -6,9 +6,10 @@ import itertools
 import random
 from fractions import Fraction
 
-from detmatroid import PrimeField, Rationals
-from detmatroid.linalg import (det, mat_mul, mat_transpose, mat_vec, rank,
-                               right_kernel, rref, solve_unique, submatrix)
+from detmatroid import DEFAULT_PRIME, PrimeField, Rationals
+from detmatroid.linalg import (_eliminate, det, mat_mul, mat_transpose,
+                               mat_vec, rank, right_kernel, rref, solve_unique,
+                               submatrix)
 
 
 def _det_leibniz(a, field):
@@ -49,6 +50,67 @@ def test_rank_matches_brute_force():
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
             a = _random_matrix(rows, cols, field, rng)
             assert rank([row[:] for row in a], field) == _rank_brute(a, field)
+
+
+def _rank_by_eliminate(a, p):
+    """Reference GF(p) rank: pivots of the element-wise elimination core."""
+    return len(_eliminate([[v % p for v in row] for row in a], PrimeField(p))[1])
+
+
+def _int_matrix(rows, cols, p, rng, k=None):
+    """Ints whose residues mod p have rank at most k: a product L*R (k drawn
+    when not given), or with k absent half the time a random matrix; then
+    zeroed and repeated rows, and entries moved by multiples of p, so that
+    some are negative and some are at least p."""
+    if k is None and rng.random() < 0.5:
+        a = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    else:
+        if k is None:
+            k = rng.randint(0, min(rows, cols))
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
+        right = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+        a = [[sum(left[i][t] * right[t][j] for t in range(k))
+              for j in range(cols)] for i in range(rows)]
+    for i in range(rows):
+        u = rng.random()
+        if u < 0.15:
+            a[i] = [0] * cols
+        elif u < 0.3 and i:
+            a[i] = list(a[rng.randrange(i)])
+    return [[v + p * rng.randint(-3, 3) if rng.random() < 0.3 else v
+             for v in row] for row in a]
+
+
+def test_packed_gf_p_rank_matches_elimination_core():
+    p = DEFAULT_PRIME
+    rng = random.Random(8)
+    cases = [(_int_matrix(rows, cols, q, rng), q)
+             for q in (2, 3, 7, 65521, p)
+             for rows in range(13) for cols in range(13)]
+    # slot overflow: entries near p, 60 independent rows plus copies of the
+    # last ten; each copy takes about 60 updates of up to p^2 per slot and
+    # must still end at 0 mod p, while a carry out of a slot would leave it
+    # independent
+    near_p = [[rng.choice((p - 2, p - 1)) for _ in range(70)] for _ in range(60)]
+    near_p += [row[:] for row in near_p[50:]]
+    cases += [(_int_matrix(200, 40, p, rng, k=40), p),
+              (_int_matrix(40, 200, p, rng, k=31), p), (near_p, p)]
+    assert any(not a for a, _ in cases) and any(a and not a[0] for a, _ in cases)
+    assert any(v < 0 for a, _ in cases for row in a for v in row)
+    assert any(v >= q for a, q in cases for row in a for v in row)
+    assert any(row == [0] * len(row) for a, _ in cases for row in a if row)
+    assert any(len(set(map(tuple, a))) < len(a) for a, _ in cases)
+    ranks = []
+    for a, q in cases:
+        copy = [row[:] for row in a]
+        got = rank(a, PrimeField(q))
+        assert a == copy
+        assert got == _rank_by_eliminate(a, q), (a, q)
+        ranks.append(got)
+    tall, wide, near_p_rank = ranks[-3:]
+    assert tall == 40 and 0 < wide <= 31 and near_p_rank == 60
+    assert any(0 < got < min(len(a), len(a[0]))
+               for got, (a, _) in zip(ranks, cases) if a and a[0])
 
 
 def test_det_matches_leibniz_and_rules():

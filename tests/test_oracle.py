@@ -9,14 +9,17 @@ import pytest
 
 from conftest import make_pattern
 from detmatroid import (DEFAULT_PRIME, CapacityError, ContractError,
-                        PrimeField, is_base, jacobian_rank, random_rank_r)
-from detmatroid.linalg import random_matrix, rank
+                        PrimeField, is_base, jacobian_rank, linalg,
+                        random_rank_r)
+from detmatroid.linalg import _eliminate, random_matrix, rank
 
 
 def _jacobian_rank_dense(pattern, r, p=DEFAULT_PRIME, seed=0):
     """Reference Jacobian rank: build the full #Omega x (m+n)r Jacobian at the
-    same random (L, R) as jacobian_rank and eliminate all of it.  Rows are the
-    cells (row-major); columns are the entries of L, then those of R."""
+    same random (L, R) as jacobian_rank and eliminate all of it with the
+    element-wise core, not the packed GF(p) rank that jacobian_rank uses.
+    Rows are the cells (row-major); columns are the entries of L, then those
+    of R."""
     if r == 0 or pattern.size() == 0:
         return 0
     m, n = pattern.m, pattern.n
@@ -31,7 +34,7 @@ def _jacobian_rank_dense(pattern, r, p=DEFAULT_PRIME, seed=0):
             row[(i - 1) * r + k] = right[k][j - 1]
             row[m * r + k * n + (j - 1)] = left[i - 1][k]
         jac.append(row)
-    return rank(jac, field)
+    return len(_eliminate(jac, field)[1])
 
 
 def test_random_rank_r_has_exact_rank():
@@ -73,7 +76,7 @@ def test_jacobian_rank_never_exceeds_variety_dimension():
         assert got <= min(p.size(), r * (m + n - r))
 
 
-def test_jacobian_rank_matches_dense_reference():
+def test_jacobian_rank_matches_dense_reference(monkeypatch):
     # random patterns on both sides of the diagonal, with empty rows and
     # columns; small primes make rank-deficient R and singular blocks common
     rng = random.Random(5)
@@ -95,10 +98,26 @@ def test_jacobian_rank_matches_dense_reference():
         cols = [sorted(rng.sample(range(1, m + 1), rng.randint(r, m)))
                 for _ in range(n)]
         cases.append((make_pattern(m, cols), r, DEFAULT_PRIME))
+    # base size at 24x24 r=6: the Schur complement has >= 252 - 24*6 rows
+    m, r = 24, 6
+    cols = [set(rng.sample(range(1, m + 1), r)) for _ in range(m)]
+    free = [(i, j) for j in range(m) for i in range(1, m + 1) if i not in cols[j]]
+    for i, j in rng.sample(free, r * (2 * m - r) - r * m):
+        cols[j].add(i)
+    cases.append((make_pattern(m, [sorted(c) for c in cols]), r, DEFAULT_PRIME))
+    schur_rows = []
+    packed_rank = linalg.rank
+
+    def recording_rank(a, field):
+        schur_rows.append(len(a))
+        return packed_rank(a, field)
+
+    monkeypatch.setattr(linalg, "rank", recording_rank)
     for pattern, r, p in cases:
         seed = rng.randrange(2 ** 32)
         assert (jacobian_rank(pattern, r, p, seed)
                 == _jacobian_rank_dense(pattern, r, p, seed)), (pattern, r, p)
+    assert schur_rows[-1] > 100
 
 
 def test_is_base_on_known_bases(fully_reducible_base, unpartitionable_base,
