@@ -357,9 +357,11 @@ def _classify_job(args):
 
 def _reverify_oracle(pattern: SupportPattern, r: int, prime: int,
                      seed: int) -> tuple[bool, list[int]]:
+    """is_base at prime and the next two primes down, skipping p <= |Omega|."""
     primes = [prime]
-    for _ in range(2):
+    while len(primes) < 3 and primes[-1] > 2:
         primes.append(prev_prime(primes[-1]))
+    primes = [q for q in primes if q > pattern.size()]
     base = False
     for q in primes:
         verdict = is_base(pattern, r, q, 10, derive_seed(seed, "reverify-%d" % q))
@@ -379,7 +381,7 @@ def verify_conjecture(m: int, n: int, r: int, prime: int = DEFAULT_PRIME,
     Consistent means: relaxed (r,r,m) = partition existence on every row, a
     partition implies an oracle base, and an oracle base implies relaxed.
     Candidate counterexamples have their oracle column re-verified with 10
-    trials at 3 distinct primes, and survive only if still inconsistent.
+    trials at up to 3 primes, and survive only if still inconsistent.
     """
     patterns = list(enumerate_patterns(m, n, r, filter=filter, col_size=col_size))
     args = [(p, r, prime, trials, seed) for p in patterns]

@@ -4,8 +4,8 @@ Matrices are lists of row lists of field elements.  Everything is plain
 Gaussian elimination; matrices here are desk-scale (tens of rows), so no
 pivoting strategy beyond "first nonzero" is needed and arithmetic stays exact.
 rref, det, solve_unique, right_kernel and the rational rank share one
-element-wise core, _eliminate; the GF(p) rank runs on packed integer rows
-(_rank_mod_p) with w = 2*bitlen(p) + bitlen(cols) + 1 bits per column.
+element-wise core, _eliminate.  The GF(p) rank (_rank_mod_p) and the rank
+oracle run on one packed kernel, _eliminate_mod_p: one int per row.
 """
 
 from __future__ import annotations
@@ -89,26 +89,21 @@ def _eliminate(a: list[list], field) -> tuple[list[list], list[int], int, list]:
     return m, pivots, swaps, inverses
 
 
-def _rank_mod_p(a: list[list], p: int) -> int:
-    """Rank over GF(p) of a matrix of ints (any residues, negative too).
+def _eliminate_mod_p(rows: list[int], limit: int, p: int,
+                     w: int) -> tuple[list[int], list[int]]:
+    """Eliminate the first limit w-bit slots of packed rows over GF(p);
+    returns (pivot slots, surviving rows shifted right by w*limit).
 
-    Each row is packed into one int, entries reduced mod p, column j in the
-    w-bit slot at bit w*j.  The first row whose lead f = slot 0 mod p is
-    nonzero is the pivot: reduced slot by slot, scaled to lead 1 and negated.
-    Every later row with a nonzero lead f gains f * pivot, which zeroes its
-    lead mod p; then all rows shift right by w, dropping the eliminated
-    column, and rows that reach 0 go.  Nothing is subtracted, so slots never
-    borrow; a row takes at most cols updates, each adding less than p^2 to a
-    slot, so a slot stays below (cols + 1) * p^2 < 2^(w-1) and never carries
-    into the next.
-    """
-    cols = len(a[0]) if a else 0
-    w = 2 * p.bit_length() + cols.bit_length() + 1
+    Slot k of a row sits at bit w*k, not necessarily reduced mod p.  For
+    each slot, the first row whose lead f = slot 0 mod p is nonzero is the
+    pivot: reduced slot by slot, scaled to lead -1.  Every later row with a
+    nonzero lead gains f * pivot; then all rows shift right by w and rows
+    that reach 0 go.  Nothing is subtracted, so no slot borrows, and a row
+    entering below B per slot leaves below B + limit * p^2 < 2^(w-1) (the
+    caller's choice of w), so none carries."""
     mask = (1 << w) - 1
-    rows = [x for x in (sum(v % p << w * j for j, v in enumerate(row) if v)
-                        for row in a) if x]
-    count = 0
-    while rows:
+    pivots = []
+    for s in range(limit):
         pivot = 0
         rest = []
         for x in rows:
@@ -121,21 +116,32 @@ def _rank_mod_p(a: list[list], p: int) -> int:
                         pivot |= (x & mask) * neg_inv % p << shift
                         x >>= w
                         shift += w
-                    count += 1
+                    pivots.append(s)
                     continue
                 x += f * pivot
             x >>= w
             if x:
                 rest.append(x)
         rows = rest
-    return count
+    return pivots, rows
+
+
+def _pack(row: list, p: int, w: int) -> int:
+    """One int holding row[j] mod p in the w-bit slot at bit w*j."""
+    return sum(v % p << w * j for j, v in enumerate(row) if v)
+
+
+def _rank_mod_p(a: list[list], p: int) -> int:
+    """Rank over GF(p) of a matrix of ints (any residues): pack, then
+    eliminate every slot; each slot stays below (cols + 1) * p^2 < 2^(w-1)."""
+    cols = len(a[0]) if a else 0
+    w = 2 * p.bit_length() + cols.bit_length() + 1
+    return len(_eliminate_mod_p([_pack(row, p, w) for row in a], cols, p, w)[0])
 
 
 def rank(a: list[list], field) -> int:
-    """Rank of a.  Over GF(p), elimination on packed rows (_rank_mod_p: one
-    int per row, w = 2*bitlen(p) + bitlen(cols) + 1 bits per column, so no
-    slot reaches 2^(w-1)); over other fields, forward elimination on a
-    working copy."""
+    """Rank of a: over GF(p) by the packed kernel (_rank_mod_p), over other
+    fields by forward elimination on a working copy."""
     if isinstance(field, PrimeField):
         return _rank_mod_p(a, field.p)
     return len(_eliminate(a, field)[1])

@@ -80,9 +80,18 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     * With n > m the problem is transposed (L and R^T swap after drawing),
       so the blocks run along the longer side and S is narrow.
     * The gauge (L, R) -> (Lg, g^-1 R) fixes L*R, so J vanishes on the
-      tangents (L*X, -X*R).  For the pivot columns P of rref(R), R[:,P] has
+      tangents (L*X, -X*R).  For the pivot columns P of R, R[:,P] has
       independent columns, so X*R[:,P] can match any change of R[:,P]: the
       columns of R[:,P] can be dropped from S without changing the image of J.
+
+    Every step is a call of the packed GF(p) kernel linalg._eliminate_mod_p.
+    P is the pivot slots of R's rows.  Cell (i,j) is a row holding R[:,j]
+    in slots 0..r-1 and, for j outside P, a unit in a slot of its own, so
+    eliminating r slots counts rank A_i and leaves each y in the unit
+    slots.  y's Schur row is the sum of (y_j mod p) * L[i,:] packed at the
+    Schur slots of column j.  Nothing is reduced between the stages: a
+    block slot takes r updates from below p and a Schur slot at most width
+    from below p^2, so w = 2*bitlen(p) + bitlen(r + width) + 1 suffices.
     """
     if r < 0:
         raise ContractError("r must be >= 0")
@@ -101,27 +110,30 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
         blocks = [[] for _ in range(m)]
         for i, j in pattern.cells():
             blocks[i - 1].append(j - 1)
-    gauge = set(linalg.rref(right, field)[1])
+    kernel, pack = linalg._eliminate_mod_p, linalg._pack
+    w = 2 * p.bit_length() + n.bit_length() + 1
+    gauge = set(kernel([pack(row, p, w) for row in right], n, p, w)[0])
     slot, width = [-1] * n, 0
     for j in range(n):
         if j not in gauge:
             slot[j], width = width, width + r
-    total = 0
-    schur = []
+    w = 2 * p.bit_length() + (r + width).bit_length() + 1
+    mask = (1 << w) - 1
+    heads = [pack(col, p, w) for col in zip(*right)]
+    total, schur = 0, []
     for cols, li in zip(blocks, left):
         if not cols:
             continue
-        block_t = [[row[j] for j in cols] for row in right]
-        kernel = linalg.right_kernel(block_t, len(cols), field)
-        total += len(cols) - len(kernel)
-        for y in kernel:
-            row = [0] * width
-            for yj, j in zip(y, cols):
-                s = slot[j]
-                if yj and s >= 0:
-                    row[s:s + r] = [yj * v % p for v in li]
-            schur.append(row)
-    return total + linalg.rank(schur, field)
+        tail = pack(li, p, w)
+        rows = [heads[j] | (slot[j] >= 0) << w * (r + k)
+                for k, j in enumerate(cols)]
+        tails = [(w * k, tail << w * slot[j])
+                 for k, j in enumerate(cols) if slot[j] >= 0]
+        pivots, rest = kernel(rows, r, p, w)
+        total += len(pivots)
+        for y in rest:
+            schur.append(sum((y >> s & mask) % p * t for s, t in tails))
+    return total + len(kernel(schur, width, p, w)[0])
 
 
 @dataclass(frozen=True)

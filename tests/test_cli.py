@@ -378,6 +378,21 @@ def test_verify_conjecture_json_reports_counterexample(capsys):
     assert "counterexample" in err
 
 
+def test_verify_conjecture_reverifies_only_above_omega(capsys):
+    # |Omega| = 16 at (5,5,2): of 17 and the two primes below it (13, 11),
+    # only 17 may run, and the report names only the primes that ran
+    code, out, err = _run(capsys, ["verify-conjecture", "--m", "5", "--n", "5",
+                                   "--r", "2", "--prime", "17",
+                                   "--format", "json"])
+    assert code == 1, err
+    (info,) = json.loads(out)["counterexamples"]
+    assert info["reverified"]["primes"] == [17]
+    _, out, _ = _run(capsys, ["verify-conjecture", "--m", "5", "--n", "5",
+                              "--r", "2", "--prime", "19", "--format", "json"])
+    (info,) = json.loads(out)["counterexamples"]
+    assert info["reverified"]["primes"] == [19, 17]
+
+
 # sha256 of stdout, frozen so that refactors keep census output byte-identical
 @pytest.mark.parametrize("argv, digest", [
     (["--m", "5", "--n", "5", "--r", "2"],

@@ -7,9 +7,9 @@ import random
 from fractions import Fraction
 
 from detmatroid import DEFAULT_PRIME, PrimeField, Rationals
-from detmatroid.linalg import (_eliminate, det, mat_mul, mat_transpose,
-                               mat_vec, rank, right_kernel, rref, solve_unique,
-                               submatrix)
+from detmatroid.linalg import (_eliminate, _eliminate_mod_p, _pack, det,
+                               mat_mul, mat_transpose, mat_vec, rank,
+                               right_kernel, rref, solve_unique, submatrix)
 
 
 def _det_leibniz(a, field):
@@ -111,6 +111,53 @@ def test_packed_gf_p_rank_matches_elimination_core():
     assert tall == 40 and 0 < wide <= 31 and near_p_rank == 60
     assert any(0 < got < min(len(a), len(a[0]))
                for got, (a, _) in zip(ranks, cases) if a and a[0])
+
+
+def test_partial_packed_kernel_matches_elimination_core():
+    # the kernel stopped after `limit` slots: its pivot slots are the rref
+    # pivots below limit, its survivors are rows of the row space that are
+    # zero on those slots and hold the rest of its rank, and fed back in
+    # unreduced, as the oracle does, they finish the rank
+    p = DEFAULT_PRIME
+    rng = random.Random(11)
+    cases = [(_int_matrix(rows, cols, q, rng), q)
+             for q in (2, 3, 7, 65521, p)
+             for rows in range(1, 10) for cols in range(1, 10)]
+    # at the slot bound: row k is -1-j before slot k and 1-k from it, so
+    # row s is the pivot of slot s, scaled to all -1, and every later row
+    # leads with -1 there and gains (p-1)^2 in each slot; row 62 ends near
+    # 62 p^2, 97% of 2^(w-1) at 63 columns.  Copies of the last rows repeat
+    worst = [[(p - 1 - j if j < k else 1 - k) % p for j in range(63)]
+             for k in range(63)]
+    worst += [row[:] for row in worst[55:]]
+    cases += [(worst, p), (_int_matrix(60, 30, p, rng, k=25), p)]
+    split, peak = 0, 0
+    for a, q in cases:
+        field = PrimeField(q)
+        cols = len(a[0])
+        w = 2 * q.bit_length() + cols.bit_length() + 1
+        mask = (1 << w) - 1
+        reduced = [[v % q for v in row] for row in a]
+        full = rref(reduced, field)[1]
+        rows = [_pack(row, q, w) for row in a]
+        for limit in {1, rng.randint(1, cols), max(1, cols // 2),
+                      max(1, cols - 1), cols}:
+            pivots, rest = _eliminate_mod_p(rows, limit, q, w)
+            assert pivots == [c for c in full if c < limit], (a, q, limit)
+            tail = cols - limit
+            slots = [[x >> w * j & mask for j in range(tail)] for x in rest]
+            # each row entered below q and took at most limit updates
+            assert all(0 < x < 1 << w * tail for x in rest)
+            assert all(v < q + limit * q * q for row in slots for v in row)
+            peak = max([peak] + [v / 2 ** (w - 1) for row in slots for v in row])
+            lifted = [[0] * limit + [v % q for v in row] for row in slots]
+            assert len(_eliminate(reduced + lifted, field)[1]) == len(full)
+            assert len(pivots) + len(_eliminate(lifted, field)[1]) == len(full)
+            again = _eliminate_mod_p(rest, tail, q, w)
+            assert len(pivots) + len(again[0]) == len(full)
+            assert again[1] == []
+            split += 0 < len(pivots) and 0 < len(again[0])
+    assert split > 100 and peak > 0.95
 
 
 def test_det_matches_leibniz_and_rules():

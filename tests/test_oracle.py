@@ -98,6 +98,16 @@ def test_jacobian_rank_matches_dense_reference(monkeypatch):
         cols = [sorted(rng.sample(range(1, m + 1), rng.randint(r, m)))
                 for _ in range(n)]
         cases.append((make_pattern(m, cols), r, DEFAULT_PRIME))
+    # base size at 16x16 r=4 with row 1 in r-1 columns, so rank-deficient:
+    # a slot that carried would make dependent Schur rows independent
+    m, r = 16, 4
+    cols = [set(rng.sample(range(2, m + 1), r)) for _ in range(m)]
+    for j in rng.sample(range(m), r - 1):
+        cols[j].add(1)
+    free = [(i, j) for j in range(m) for i in range(2, m + 1) if i not in cols[j]]
+    for i, j in rng.sample(free, r * (2 * m - r) - sum(map(len, cols))):
+        cols[j].add(i)
+    cases.append((make_pattern(m, [sorted(c) for c in cols]), r, DEFAULT_PRIME))
     # base size at 24x24 r=6: the Schur complement has >= 252 - 24*6 rows
     m, r = 24, 6
     cols = [set(rng.sample(range(1, m + 1), r)) for _ in range(m)]
@@ -105,19 +115,37 @@ def test_jacobian_rank_matches_dense_reference(monkeypatch):
     for i, j in rng.sample(free, r * (2 * m - r) - r * m):
         cols[j].add(i)
     cases.append((make_pattern(m, [sorted(c) for c in cols]), r, DEFAULT_PRIME))
+    # the last kernel call of a jacobian_rank is its Schur stage
     schur_rows = []
-    packed_rank = linalg.rank
+    kernel = linalg._eliminate_mod_p
 
-    def recording_rank(a, field):
-        schur_rows.append(len(a))
-        return packed_rank(a, field)
+    def recording_kernel(rows, limit, p, w):
+        schur_rows.append(len(rows))
+        return kernel(rows, limit, p, w)
 
-    monkeypatch.setattr(linalg, "rank", recording_rank)
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", recording_kernel)
     for pattern, r, p in cases:
         seed = rng.randrange(2 ** 32)
         assert (jacobian_rank(pattern, r, p, seed)
                 == _jacobian_rank_dense(pattern, r, p, seed)), (pattern, r, p)
     assert schur_rows[-1] > 100
+
+
+def test_jacobian_rank_runs_only_on_the_packed_kernel(monkeypatch):
+    # the gauge, the row blocks and the Schur stage all use the packed GF(p)
+    # kernel: no element-wise rref, kernel or rank call is left
+    def forbidden(*args, **kwargs):
+        raise AssertionError("jacobian_rank called the element-wise core")
+
+    for name in ("rref", "right_kernel", "rank", "_eliminate"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    rng = random.Random(13)
+    for m, n, r, p in ((6, 4, 2, 3), (4, 9, 3, 7), (12, 12, 3, DEFAULT_PRIME)):
+        cols = [sorted(rng.sample(range(1, m + 1), rng.randint(1, m)))
+                for _ in range(n)]
+        assert 0 < jacobian_rank(make_pattern(m, cols), r, p,
+                                 seed=rng.randrange(2 ** 32))
+    assert is_base(make_pattern(2, [[1, 2], [1]]), 1).verdict == "base"
 
 
 def test_is_base_on_known_bases(fully_reducible_base, unpartitionable_base,

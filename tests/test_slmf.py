@@ -11,8 +11,9 @@ from conftest import (RELAXED_NONBASE_5X5, REDUCED_BASE_5X5,
                       REDUCED_BASE_5X5_GROUPS, UNPARTITIONABLE_BASE_6X5,
                       make_pattern)
 from detmatroid import (ContractError, RelaxedParams, Slmf, SupportPattern,
-                        ViolationWitness, induce_slmf, is_relaxed_slmf,
-                        is_slmf, is_slmf_via_matching)
+                        ViolationWitness, enumerate_patterns, induce_slmf,
+                        is_relaxed_slmf, is_slmf, is_slmf_via_matching,
+                        partition_search)
 
 
 def _is_relaxed_slmf_by_scan(pattern, params):
@@ -144,6 +145,38 @@ def test_induce_slmf_from_valid_groups(reduced_base):
         group_supports = [set(REDUCED_BASE_5X5[j - 1]) for j in group]
         for col in phi.columns:
             assert any(set(col) <= s for s in group_supports)
+
+
+def test_induced_systems_always_pass_is_slmf():
+    # induce_slmf does not re-check its output; this is the guarantee its
+    # docstring proves, over random relaxed (1,r,m) groups and over every
+    # certificate group of the census grids
+    rng = random.Random(41)
+    induced = []
+    while len(induced) < 300:
+        m = rng.randint(3, 9)
+        r = rng.randint(1, m - 2)
+        # positive excesses summing to m-r, plus columns of at most r rows
+        sizes, left = [], m - r
+        while left:
+            e = rng.randint(1, left)
+            sizes.append(r + e)
+            left -= e
+        sizes += [rng.randint(1, r) for _ in range(rng.randint(0, 2))]
+        cols = [sorted(rng.sample(range(1, m + 1), k)) for k in sizes]
+        pattern = make_pattern(m, cols)
+        group = tuple(range(1, len(cols) + 1))
+        if is_relaxed_slmf(pattern, RelaxedParams(1, r, group))[0]:
+            induced.append(induce_slmf(pattern, group, r))
+    for m, n, r in ((5, 5, 2), (5, 6, 2), (6, 5, 3), (6, 4, 2), (4, 4, 2)):
+        for pattern in enumerate_patterns(m, n, r):
+            cert = partition_search(pattern, r)
+            if cert is not None:
+                induced += [induce_slmf(pattern, g, r) for g in cert.groups]
+    assert len(induced) > 320
+    for phi in induced:
+        assert len(phi.cols) == phi.m - phi.r
+        assert is_slmf(phi) == (True, None)
 
 
 def test_induce_slmf_rejects_non_relaxed_group(relaxed_nonbase):
