@@ -18,7 +18,7 @@ phi_j & I admit a system of distinct representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import CapacityError, ContractError
 from .patterns import Slmf, SupportPattern, _rows_of
@@ -128,16 +128,23 @@ def is_relaxed_slmf(
     only ever answers True.
 
     Every other case, and every negative answer, comes from the row scan:
-    sizes r+1..m in ascending order, each size in combinations order, so
-    the first violation met is the witness.  Each column's count
-    #(omega_j & I) sits in a w-bit field of one integer, biased so that the
-    field's top bit is set exactly when the count reaches r; the left side
-    is then a mask-and-multiply followed by a digit sum mod 2^w - 1.  The
-    row sets of one size that share their first k-1 rows share that head's
-    packed sum, and a head is skipped when its own left side plus its count
-    of columns holding r rows stays within the bound, since one more row
-    adds at most one per such column.  The full row set needs no scan: its
-    left side is the total excess.
+    sizes r+1..m in ascending order, each size a depth-first walk over row
+    prefixes in combinations order, so the first violation met is the
+    witness.  Each column's count #(omega_j & I) sits in a w-bit field of
+    one integer, biased so that the field's top bit is set exactly when the
+    count reaches r; the left side is then a mask-and-multiply followed by
+    a digit sum mod 2^w - 1.  A prefix P that still needs q rows from the
+    rows s..m-1 is pruned when the left side at the capped counts
+    c_j(P) + min(q, a_j) stays within the bound, a_j being column j's count
+    in those rows.  That is sound: every completion adds at most min(q, a_j)
+    rows to column j, and the left side never falls when a count rises.
+    The a_j come from a packed suffix sum, and min(q, a_j) is a_j less the
+    low bits of a_j + 2^(w-1) - q wherever that field's top bit is set; as
+    a_j <= m < 2^(w-1) this add neither borrows nor carries across fields,
+    and c_j(P) + a_j <= #omega_j keeps the capped sum in its field.  At
+    q = 1 this subsumes skipping a head whose columns holding r rows would
+    each gain one: only the columns with a row left can gain.  The full
+    row set needs no scan: its left side is the total excess.
     """
     r, nu = params.r, params.nu
     if r >= pattern.m:
@@ -153,36 +160,48 @@ def is_relaxed_slmf(
     if nu == 1 and total == m - r and _unions_cover_excess(excess_cols, r):
         return True, None
 
-    # 2^(w-1) exceeds every field's excess and their sum, and the bias
+    # 2^(w-1) exceeds m, every field's excess and their sum, and the bias
     # 2^(w-1) - r stays nonnegative since r < m <= RELAXED_SCAN_CEILING < 32
     w = max(6, total.bit_length() + 1)
     half = 1 << (w - 1)
     fold, low = (1 << w) - 1, half - 1
-    bias = high = 0
+    ones = 0
     row_vecs = [0] * m
     for j, cmask in enumerate(masks):
-        bias |= (half - r) << (w * j)
-        high |= half << (w * j)
+        ones |= 1 << (w * j)
         for i in _rows_of(cmask):
             row_vecs[i - 1] += 1 << (w * j)
+    high, bias = half * ones, (half - r) * ones
+    # suffix[s] holds each column's count a_j in the rows s..m-1
+    suffix = list(accumulate(reversed(row_vecs), initial=0))[::-1]
 
     def witness(rows, lhs, rhs, kind):
         return False, ViolationWitness(tuple(i + 1 for i in rows), lhs, rhs, kind)
 
     for k in range(r + 1, m):
         rhs = nu * (k - r)
-        for head in combinations(range(m - 1), k - 1):
-            base = bias + sum(map(row_vecs.__getitem__, head))
-            # one more row adds at most one per column already holding r
-            # rows of the head, so a head within that margin has no witness
-            flags = (base & high) >> (w - 1)
-            if (base & flags * low) % fold + flags.bit_count() <= rhs:
+        stack = [((), bias, 0)]
+        while stack:
+            head, base, start = stack.pop()
+            q = k - len(head)
+            if q == 1:
+                for x in range(start, m):
+                    t = base + row_vecs[x]
+                    lhs = (t & ((t & high) >> (w - 1)) * low) % fold
+                    if lhs > rhs:
+                        return witness(head + (x,), lhs, rhs, "inequality_violated")
                 continue
-            for x in range(head[-1] + 1, m):
-                t = base + row_vecs[x]
-                lhs = (t & ((t & high) >> (w - 1)) * low) % fold
-                if lhs > rhs:
-                    return witness(head + (x,), lhs, rhs, "inequality_violated")
+            # push the children x in descending order, so they pop in
+            # combinations order, each unless its cap bound stays within rhs;
+            # a child still needs q-1 rows, so a_j loses its excess over q-1
+            cut = high - (q - 1) * ones
+            for x in range(m - q, start - 1, -1):
+                b = base + row_vecs[x]
+                a = suffix[x + 1]
+                t = a + cut
+                t = b + a - (t & ((t & high) >> (w - 1)) * low)
+                if (t & ((t & high) >> (w - 1)) * low) % fold > rhs:
+                    stack.append((head + (x,), b, x + 1))
     rhs = nu * (m - r)
     if total > rhs:
         return witness(range(m), total, rhs, "inequality_violated")

@@ -189,3 +189,27 @@ def test_criterion_10_union_bounds_match_relaxed_slack_one():
             assert direct == relaxed
     _budget(start, 10.0)
     print("[criterion 10] PASS")
+
+
+def test_criterion_11_relaxed_check_decides_20x20_base_size_pattern():
+    # a seeded base-size 20x20 pattern (r=5: 175 cells, fifteen columns of
+    # nine rows and five of eight) that is relaxed at nu=r, so the scan
+    # visits every row-set size; at nu=r-1 the least violation has 15 rows
+    m, r = 20, 5
+    rng = random.Random(23)
+    sizes = [9] * 15 + [8] * 5
+    rng.shuffle(sizes)
+    pattern = make_pattern(m, [sorted(rng.sample(range(1, m + 1), s))
+                               for s in sizes])
+    assert pattern.size() == r * (m + m - r)
+    start = time.perf_counter()
+    assert is_relaxed_slmf(pattern, RelaxedParams(r, r)) == (True, None)
+    _budget(start, 0.5)
+    ok, witness = is_relaxed_slmf(pattern, RelaxedParams(r - 1, r))
+    rows = set(witness.subset_rows)
+    lhs = sum(max(len(rows & set(col)) - r, 0) for col in pattern.columns)
+    assert not ok and witness.kind == "inequality_violated"
+    assert (witness.lhs, witness.rhs) == (lhs, (r - 1) * (len(rows) - r))
+    assert witness.subset_rows == tuple(range(1, 12)) + (14, 16, 18, 20)
+    assert (lhs, witness.rhs) == (41, 40)
+    print("[criterion 11] PASS")

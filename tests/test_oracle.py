@@ -10,7 +10,7 @@ import pytest
 from conftest import make_pattern
 from detmatroid import (DEFAULT_PRIME, CapacityError, ContractError,
                         PrimeField, is_base, jacobian_rank, linalg,
-                        random_rank_r)
+                        prev_prime, random_rank_r)
 from detmatroid.linalg import _eliminate, random_matrix, rank
 
 
@@ -164,6 +164,37 @@ def test_is_base_on_rank_deficient_pattern(relaxed_nonbase):
     assert verdict.rank_observed == 15
     assert verdict.rank_required == 16
     assert verdict.trials == 5
+
+
+def test_relaxed_nonbase_is_dependent_by_two_minor_fills(relaxed_nonbase):
+    # every 3x3 minor of a rank-2 X vanishes.  The minor on rows {1,2,5} x
+    # columns {3,4,5} is linear in x55 with the pivot minor {1,2}x{3,4} as
+    # coefficient, so it fills x55; then the minor on rows {3,4,5} x
+    # columns {1,2,5}, pivot {4,5}x{2,5}, fills x31.  Both use only
+    # Omega - (3,1) and the filled cell, so (3,1) is in the closure of the
+    # other 15 cells and the rank is at most 15 < 16 = |Omega|
+    cells = set(relaxed_nonbase.cells())
+    known = cells - {(3, 1)} | {(5, 5)}
+    fills = (((5, 5), (1, 2, 5), (3, 4, 5)), ((3, 1), (4, 5, 3), (2, 5, 1)))
+    assert (3, 1) in cells and (5, 5) not in cells and len(cells) == 16
+    for cell, rows, cols in fills:
+        block = {(i, j) for i in rows for j in cols}
+        assert block - {cell} <= known and cell == (rows[-1], cols[-1])
+    for p in (DEFAULT_PRIME, prev_prime(DEFAULT_PRIME),
+              prev_prime(prev_prime(DEFAULT_PRIME))):
+        field = PrimeField(p)
+        for seed in range(5):
+            assert jacobian_rank(relaxed_nonbase, 2, p, seed) == 15
+            x = random_rank_r(5, 5, 2, p, seed)
+            # x[i][j] = -(minor with a zero there) / pivot minor, the
+            # fill's cell last in its block
+            for (i, j), rows, cols in fills:
+                minor = [[x[a - 1][b - 1] for b in cols] for a in rows]
+                minor[2][2] = 0
+                pivot = [row[:2] for row in minor[:2]]
+                filled = field.mul(field.neg(linalg.det(minor, field)),
+                                   field.inv(linalg.det(pivot, field)))
+                assert filled == x[i - 1][j - 1]
 
 
 def test_is_base_oversized_pattern_is_not_base():

@@ -263,3 +263,37 @@ def test_relaxed_nu1_column_route_matches_scan_reference():
             row_scan_only += 1
     assert quota_outcomes == outcomes == {True, False}
     assert row_scan_only > 0
+
+
+def test_relaxed_prefix_prune_matches_scan_reference_at_11_to_16_rows():
+    # the scan prunes a row prefix that still needs q rows by the capped
+    # counts min(q, a_j); base-size and sparse patterns at 11 and 12 rows
+    # give all three outcomes, and at 13 to 16 rows columns of r+1 to r+3
+    # rows with excesses summing past r(m-r) fail every nu before [m],
+    # often first at r+3 rows or more, where every prune above the leaves
+    # has q >= 2
+    rng = random.Random(35)
+    kinds, deep = set(), 0
+    for m in range(11, 17):
+        for trial in range(3):
+            if m <= 12:
+                r = rng.randint(2, 5)
+                n = rng.randint(m - 3, m + 3)
+                if trial % 2:
+                    sizes = _sizes_summing_to(rng, n, r * (m + n - r), r + 1, m)
+                else:
+                    sizes = [rng.randint(r - 2, r + 1) for _ in range(n)]
+            else:
+                r = rng.randint(2, 4)
+                sizes = [rng.randint(r + 1, r + 3)
+                         for _ in range(r * (m - r) // 2 + 3)]
+            pattern = SupportPattern.from_columns(m, _random_columns(rng, m, sizes))
+            for nu in range(1, r + 1):
+                ok, witness = _check_against_scan(pattern, RelaxedParams(nu, r))
+                kinds.add("relaxed" if ok else witness.kind)
+                if not ok and len(witness.subset_rows) >= r + 3 \
+                        and witness.kind == "inequality_violated":
+                    deep += 1
+    assert kinds == {"relaxed", "inequality_violated",
+                     "equality_failed_at_full_set"}
+    assert deep >= 15
