@@ -20,6 +20,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from .errors import CapacityError, ContractError
@@ -98,13 +99,10 @@ def _check_grid(m: int, n: int, r: int) -> None:
                             % (m * n, ENUM_CELL_CEILING))
 
 
-def _min_row_degree(cols, m: int, k: int) -> bool:
-    """Every one of the m rows lies in at least k of the column masks."""
-    reach = [-1] + [0] * k  # reach[t]: rows met by at least t columns so far
-    for c in cols:
-        for t in range(k, 0, -1):
-            reach[t] |= reach[t - 1] & c
-    return reach[k] == (1 << m) - 1
+def _add_column(reach: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """Add column mask c to the row degrees: reach[t] holds the rows met by
+    at least t of the columns so far, reach[0] being every row."""
+    return reach[:1] + tuple(hi | lo & c for lo, hi in zip(reach, reach[1:]))
 
 
 def _column_candidates(m: int, r: int, mode: str, col_size: int | None) -> list[int]:
@@ -126,8 +124,22 @@ def enumerate_patterns(m: int, n: int, r: int,
 
     filter 'base_size_and_mindeg' keeps size = r(m+n-r) and every row degree
     and column size at least r+1; 'all' imposes nothing.  col_size optionally
-    pins every column support size.  Duplicated orbits are suppressed by
-    canonicalizing every candidate, so each orbit appears exactly once.
+    pins every column support size.
+
+    The search walks the non-decreasing sequences of column masks in
+    lexicographic order, so it meets each orbit first at the orbit's
+    lex-least such sequence, and yields the orbits in that order.  The
+    filters and the candidate masks are closed under row permutations, so a
+    prefix that a row permutation maps to a lex-smaller sorted prefix starts
+    no orbit's first member and is skipped (orderly generation: Read 1978,
+    McKay 1998).  Three tests skip prefixes: a row that can no longer reach
+    degree r+1 in the columns left; a new column that does not use the
+    lowest rows of each class of rows lying in the same chosen columns
+    (packing them down fixes the prefix and lowers its largest column), so
+    the first column is (1<<s)-1; and a column with fewer rows than the
+    first, which some row permutation maps below it.  The tests are
+    incomplete, so every surviving sequence is still canonicalized and
+    orbits already seen are dropped: each orbit appears exactly once.
     """
     _check_filter(filter)
     _check_grid(m, n, r)
@@ -145,25 +157,22 @@ def enumerate_patterns(m: int, n: int, r: int,
         suf_min[i] = min(sizes[i], suf_min[i + 1]) if i + 1 < ncand else sizes[i]
         suf_max[i] = max(sizes[i], suf_max[i + 1]) if i + 1 < ncand else sizes[i]
 
+    full = (1 << m) - 1
     seen: set[tuple[int, ...]] = set()
     chosen: list[int] = []
 
-    def emit():
-        if filtered and not _min_row_degree(chosen, m, r + 1):
-            return None
-        canon = canonical_form(SupportPattern(m, n, tuple(chosen)))
-        if canon.cols in seen:
-            return None
-        seen.add(canon.cols)
-        return canon
-
-    def rec(start: int, left: int, budget: int):
+    def rec(start: int, left: int, budget: int, reach: tuple[int, ...],
+            classes: tuple[int, ...]):
+        if filtered and left <= r and reach[r + 1 - left] != full:
+            return  # some row cannot reach degree r+1 any more
         if left == 0:
             if budget == 0 or not filtered:
-                got = emit()
-                if got is not None:
-                    yield got
+                canon = canonical_form(SupportPattern(m, n, tuple(chosen)))
+                if canon.cols not in seen:
+                    seen.add(canon.cols)
+                    yield canon
             return
+        floor = chosen[0].bit_count() if chosen else 0
         for idx in range(start, ncand):
             if filtered:
                 rest = budget - sizes[idx]
@@ -171,11 +180,21 @@ def enumerate_patterns(m: int, n: int, r: int,
                 hi = rest - (left - 1) * suf_min[idx]
                 if rest < 0 or hi < 0 or lo > 0:
                     continue
-            chosen.append(candidates[idx])
-            yield from rec(idx, left - 1, budget - sizes[idx] if filtered else 0)
+            if sizes[idx] < floor:
+                continue
+            c = candidates[idx]
+            # in each class, the rows of c must be the class's lowest rows
+            if any((k & ((1 << (c & k).bit_length()) - 1)) != c & k
+                   for k in classes):
+                continue
+            chosen.append(c)
+            yield from rec(idx, left - 1, budget - sizes[idx] if filtered else 0,
+                           _add_column(reach, c),
+                           tuple(p for k in classes for p in (k & c, k & ~c) if p))
             chosen.pop()
 
-    yield from rec(0, n, target if filtered else 0)
+    yield from rec(0, n, target if filtered else 0,
+                   (full,) + (0,) * (r + 1), (full,))
 
 
 def sample_patterns(m: int, n: int, r: int, count: int, seed: int,
@@ -192,6 +211,8 @@ def sample_patterns(m: int, n: int, r: int, count: int, seed: int,
     rng = random.Random(derive_seed(seed, "sample-patterns"))
     filtered = filter == "base_size_and_mindeg"
     target = r * (m + n - r)
+    full = (1 << m) - 1
+    degrees = (full,) + (0,) * (r + 1)
     out: list[SupportPattern] = []
     seen: set[tuple[int, ...]] = set()
     for _ in range(_SAMPLE_ATTEMPTS):
@@ -205,7 +226,7 @@ def sample_patterns(m: int, n: int, r: int, count: int, seed: int,
             cols.append(sum(1 << i for i in rng.sample(range(m), size)))
         if filtered and (sum(c.bit_count() for c in cols) != target
                          or any(c.bit_count() < r + 1 for c in cols)
-                         or not _min_row_degree(cols, m, r + 1)):
+                         or reduce(_add_column, cols, degrees)[-1] != full):
             continue
         canon = canonical_form(SupportPattern(m, n, tuple(cols)))
         if canon.cols in seen:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -151,6 +152,98 @@ def test_enumerate_rejects_unknown_filter_and_capacity():
         sample_patterns(3, 3, 1, count=3, seed=0, filter="bogus")
     with pytest.raises(CapacityError):
         list(enumerate_patterns(7, 7, 2))
+
+
+def _enumerate_patterns_by_scan(m, n, r, filter="base_size_and_mindeg",
+                                col_size=None):
+    """Reference enumeration: every non-decreasing candidate sequence within
+    the size budget, degree-filtered and canonicalized at the leaf."""
+    census._check_filter(filter)
+    census._check_grid(m, n, r)
+    filtered = filter == "base_size_and_mindeg"
+    target = r * (m + n - r) if filtered else None
+    candidates = census._column_candidates(m, r, filter, col_size)
+    if filtered and target > m * n:
+        return
+    sizes = [c.bit_count() for c in candidates]
+    ncand = len(candidates)
+    suf_min = [0] * (ncand + 1)
+    suf_max = [0] * (ncand + 1)
+    for i in range(ncand - 1, -1, -1):
+        suf_min[i] = min(sizes[i], suf_min[i + 1]) if i + 1 < ncand else sizes[i]
+        suf_max[i] = max(sizes[i], suf_max[i + 1]) if i + 1 < ncand else sizes[i]
+
+    seen = set()
+    chosen = []
+
+    def emit():
+        if filtered and any(sum(c >> i & 1 for c in chosen) < r + 1
+                            for i in range(m)):
+            return None
+        canon = canonical_form(SupportPattern(m, n, tuple(chosen)))
+        if canon.cols in seen:
+            return None
+        seen.add(canon.cols)
+        return canon
+
+    def rec(start, left, budget):
+        if left == 0:
+            if budget == 0 or not filtered:
+                got = emit()
+                if got is not None:
+                    yield got
+            return
+        for idx in range(start, ncand):
+            if filtered:
+                rest = budget - sizes[idx]
+                lo = rest - (left - 1) * suf_max[idx]
+                hi = rest - (left - 1) * suf_min[idx]
+                if rest < 0 or hi < 0 or lo > 0:
+                    continue
+            chosen.append(candidates[idx])
+            yield from rec(idx, left - 1, budget - sizes[idx] if filtered else 0)
+            chosen.pop()
+
+    yield from rec(0, n, target if filtered else 0)
+
+
+def test_enumerate_sequence_matches_scan_reference():
+    # the exact yielded list, not just the set of orbits: m*n <= 20, both
+    # filters, col_size None and 0..m.  The filter 'all' ignores r, and
+    # without col_size the reference canonicalizes all C(2^m+n-1, n)
+    # sequences, so it runs at r=1 and skips grids of more than 6000 leaves
+    # (4x5, 5x4, 6x3, 7x2, 8x2), whose col_size slices are still compared
+    for m in range(1, census.CANON_ROW_CEILING + 1):
+        for n in range(1, 20 // m + 1):
+            for r in range(1, m + 1):
+                for filter in ("base_size_and_mindeg", "all"):
+                    for col_size in [None, *range(m + 1)]:
+                        if filter == "all" and (r > 1 or col_size is None and
+                                                math.comb(2 ** m + n - 1, n) > 6000):
+                            continue
+                        args = (m, n, r, filter, col_size)
+                        assert (list(enumerate_patterns(*args))
+                                == list(_enumerate_patterns_by_scan(*args))), args
+
+
+@pytest.mark.parametrize("m, n, r", [(6, 5, 3), (6, 5, 2)])
+def test_enumerate_sequence_matches_scan_reference_at_six_rows(m, n, r):
+    got = list(enumerate_patterns(m, n, r))
+    assert got and got == list(_enumerate_patterns_by_scan(m, n, r))
+
+
+def test_enumerate_canonicalizes_few_candidates(monkeypatch):
+    # the scan reference canonicalizes 2205 degree-filtered sequences at
+    # (6,5,2) for 15 orbits
+    calls = []
+
+    def counted(pattern):
+        calls.append(pattern)
+        return canonical_form(pattern)
+
+    monkeypatch.setattr(census, "canonical_form", counted)
+    assert len(list(enumerate_patterns(6, 5, 2))) == 15
+    assert len(calls) < 100
 
 
 def test_classify_is_invariant_under_reduction(unpartitionable_base):

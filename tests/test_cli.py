@@ -403,7 +403,14 @@ def test_verify_conjecture_reverifies_only_above_omega(capsys):
      "9054a919d3ae0c7b1d564b69d3c654fbf36ec5ad9315c31f8af8a09c870c9235"),
     (["--m", "6", "--n", "5", "--r", "3"],
      "2dba112745aef6af7e4f4e750b5b833c65c4254345a6c25bb74352b2fdb6d423"),
-], ids=["5x5r2-csv", "4x4r2-triples-json", "5x6r2-csv", "6x5r3-csv"])
+    (["--m", "6", "--n", "5", "--r", "2"],
+     "0c3858e36d85ad2f27b8087ec2251fa7daa599608e345e09b74385a62c282326"),
+    (["--m", "6", "--n", "6", "--r", "3"],
+     "b9a6394697bbe85ac0044df616064c3b602894105627f0fb592e305a66694402"),
+    (["--m", "6", "--n", "6", "--r", "2"],
+     "3e7382608136e6318d969e73476eb019bd1c0cbdd56ea83ab74fa5c9b658edbe"),
+], ids=["5x5r2-csv", "4x4r2-triples-json", "5x6r2-csv", "6x5r3-csv",
+        "6x5r2-csv", "6x6r3-csv", "6x6r2-csv"])
 def test_verify_conjecture_stdout_is_frozen(capsys, argv, digest):
     _, out, _ = _run(capsys, ["verify-conjecture"] + argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
