@@ -493,7 +493,10 @@ def known_facts_crosscheck(m: int, n: int, r: int, prime: int = DEFAULT_PRIME,
     r = 1: bases are exactly the spanning trees, checked over every pattern
     of size m+n-1.  r = min(m,n)-1: bases are exactly the size-(m-1)(n+1)
     patterns without a K_{m,m} subgraph (rows on the small side), checked
-    over every pattern of that size.
+    over every pattern of that size.  Both sides are invariant under row
+    and column permutations, yet every labelled pattern is checked with
+    its own seed on purpose: orbit representatives alone would test the
+    oracle at far fewer random points and index layouts.
     """
     _check_grid(m, n, r)
     small, large = min(m, n), max(m, n)

@@ -13,9 +13,6 @@ from __future__ import annotations
 from .fields import PrimeField
 
 
-def mat_transpose(a: list[list]) -> list[list]:
-    return [list(row) for row in zip(*a)] if a else []
-
 def random_matrix(rows: int, cols: int, field, rng) -> list[list]:
     return [[field.rand(rng) for _ in range(cols)] for _ in range(rows)]
 
@@ -126,6 +123,13 @@ def _eliminate_mod_p(rows: list[int], limit: int, p: int,
     return pivots, rows
 
 
+def _slot_width(p: int, terms: int) -> int:
+    """Slot width for rows whose slots each gather at most terms products
+    of two residues below p: every slot stays below (terms + 1) * p^2, and
+    w = 2*bitlen(p) + bitlen(terms) + 1 keeps that under 2^(w-1)."""
+    return 2 * p.bit_length() + terms.bit_length() + 1
+
+
 def _pack(row: list, p: int, w: int) -> int:
     """One int holding row[j] mod p in the w-bit slot at bit w*j."""
     return sum(v % p << w * j for j, v in enumerate(row) if v)
@@ -133,9 +137,9 @@ def _pack(row: list, p: int, w: int) -> int:
 
 def _rank_mod_p(a: list[list], p: int) -> int:
     """Rank over GF(p) of a matrix of ints (any residues): pack, then
-    eliminate every slot; each slot stays below (cols + 1) * p^2 < 2^(w-1)."""
+    eliminate every slot, each taking at most cols updates."""
     cols = len(a[0]) if a else 0
-    w = 2 * p.bit_length() + cols.bit_length() + 1
+    w = _slot_width(p, cols)
     return len(_eliminate_mod_p([_pack(row, p, w) for row in a], cols, p, w)[0])
 
 

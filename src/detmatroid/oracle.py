@@ -88,51 +88,62 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     P is the pivot slots of R's rows.  Cell (i,j) is a row holding R[:,j]
     in slots 0..r-1 and, for j outside P, a unit in a slot of its own, so
     eliminating r slots counts rank A_i and leaves each y in the unit
-    slots.  y's Schur row is the sum of (y_j mod p) * L[i,:] packed at the
-    Schur slots of column j.  Nothing is reduced between the stages: a
-    block slot takes r updates from below p and a Schur slot at most width
-    from below p^2, so w = 2*bitlen(p) + bitlen(r + width) + 1 suffices.
+    slots.  These rows depend only on the support of block i, so blocks
+    with the same support are eliminated once, in order of first
+    appearance.  y's Schur row for block i is the sum of (y_j mod p) *
+    L[i,:] packed at the Schur slots of column j: the packed L[i,:] times
+    one packed vector of the y_j mod p, shared by the support's blocks (no
+    two products meet in a slot).  Nothing is reduced between the stages:
+    a block slot takes r updates from below p and a Schur slot at most
+    width from below p^2, so w = linalg._slot_width(p, r + width).  L and
+    R are drawn as linalg.random_matrix draws them, L first.
     """
     if r < 0:
         raise ContractError("r must be >= 0")
     if r == 0 or pattern.size() == 0:
         return 0
     m, n = pattern.m, pattern.n
-    field = PrimeField(p)
-    rng = random.Random(seed)
-    left = linalg.random_matrix(m, r, field, rng)
-    right = linalg.random_matrix(r, n, field, rng)
+    PrimeField(p)  # refuses a p that is not prime
+    draw = random.Random(seed).randrange
+    left = [[draw(p) for _ in range(r)] for _ in range(m)]
+    right = [[draw(p) for _ in range(n)] for _ in range(r)]
     if n > m:
-        left, right = linalg.mat_transpose(right), linalg.mat_transpose(left)
-        blocks = [[j - 1 for j in col] for col in pattern.columns]
+        left, right = list(zip(*right)), list(zip(*left))
+        supports = pattern.cols
         n = m
     else:
-        blocks = [[] for _ in range(m)]
-        for i, j in pattern.cells():
-            blocks[i - 1].append(j - 1)
-    kernel, pack = linalg._eliminate_mod_p, linalg._pack
-    w = 2 * p.bit_length() + n.bit_length() + 1
-    gauge = set(kernel([pack(row, p, w) for row in right], n, p, w)[0])
+        supports = [sum((col >> i & 1) << j
+                        for j, col in enumerate(pattern.cols))
+                    for i in range(m)]
+    groups = {}
+    for i, support in enumerate(supports):
+        if support:
+            groups.setdefault(support, []).append(i)
+    kernel, slot_width = linalg._eliminate_mod_p, linalg._slot_width
+    w = slot_width(p, n)
+    gauge = set(kernel([sum(v << w * j for j, v in enumerate(row))
+                        for row in right], n, p, w)[0])
     slot, width = [-1] * n, 0
     for j in range(n):
         if j not in gauge:
             slot[j], width = width, width + r
-    w = 2 * p.bit_length() + (r + width).bit_length() + 1
+    w = slot_width(p, r + width)
     mask = (1 << w) - 1
-    heads = [pack(col, p, w) for col in zip(*right)]
+    heads = [sum(v << w * k for k, v in enumerate(col))
+             for col in zip(*right)]
     total, schur = 0, []
-    for cols, li in zip(blocks, left):
-        if not cols:
-            continue
-        tail = pack(li, p, w)
+    for support, members in groups.items():
+        cols = [j for j in range(n) if support >> j & 1]
         rows = [heads[j] | (slot[j] >= 0) << w * (r + k)
                 for k, j in enumerate(cols)]
-        tails = [(w * k, tail << w * slot[j])
+        moves = [(w * k, w * slot[j])
                  for k, j in enumerate(cols) if slot[j] >= 0]
         pivots, rest = kernel(rows, r, p, w)
-        total += len(pivots)
-        for y in rest:
-            schur.append(sum((y >> s & mask) % p * t for s, t in tails))
+        total += len(pivots) * len(members)
+        ys = [sum((y >> s & mask) % p << t for s, t in moves) for y in rest]
+        for i in members:
+            tail = sum(v << w * k for k, v in enumerate(left[i]))
+            schur.extend(y * tail for y in ys)
     return total + len(kernel(schur, width, p, w)[0])
 
 

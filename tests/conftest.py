@@ -38,6 +38,11 @@ def make_pattern(m: int, columns) -> SupportPattern:
     return SupportPattern.from_columns(m, columns)
 
 
+def mat_transpose(a: list[list]) -> list[list]:
+    """Transpose of a list-of-rows matrix; no library routine needs one."""
+    return [list(row) for row in zip(*a)] if a else []
+
+
 @pytest.fixture
 def slmf_6x4() -> Slmf:
     return Slmf.from_columns(2, 6, SLMF_6X4_COLUMNS)

@@ -7,12 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import FULLY_REDUCIBLE_BASE_6X5, SLMF_6X4_COLUMNS, make_pattern
+from conftest import (FULLY_REDUCIBLE_BASE_6X5, SLMF_6X4_COLUMNS, make_pattern,
+                      mat_transpose)
 from detmatroid import (ContractError, DEFAULT_PRIME, GenericityError,
                         PrimeField, Rationals, Slmf, complete_matrix,
                         p_phi, partition_search, plucker_from_basis,
                         random_rank_r, section_form, sparse_perp)
-from detmatroid.linalg import mat_mul, mat_transpose, mat_vec, rank
+from detmatroid.linalg import mat_mul, mat_vec, rank
 
 
 def _random_basis(m, r, field, rng):

@@ -6,10 +6,11 @@ import itertools
 import random
 from fractions import Fraction
 
+from conftest import mat_transpose
 from detmatroid import DEFAULT_PRIME, PrimeField, Rationals
 from detmatroid.linalg import (_eliminate, _eliminate_mod_p, _pack, det,
-                               mat_mul, mat_transpose, mat_vec, rank,
-                               right_kernel, rref, solve_unique, submatrix)
+                               mat_mul, mat_vec, rank, right_kernel, rref,
+                               solve_unique, submatrix)
 
 
 def _det_leibniz(a, field):
