@@ -13,13 +13,12 @@ from .census import (CensusReport, CensusRow, CrosscheckReport, canonical_form,
 from .errors import (CapacityError, ContractError, DetmatroidError,
                      GenericityError, ParseError)
 from .fields import DEFAULT_PRIME, PrimeField, Rationals, prev_prime
-from .grassmann import (PluckerVector, SparsePerp, complete_matrix, p_phi,
-                        plucker_from_basis, section_form, sparse_perp)
+from .grassmann import complete_matrix
 from .oracle import OracleVerdict, is_base, jacobian_rank, random_rank_r
 from .partition import (PartitionCertificate, certificate_from_groups,
                         parse_certificate, partition_search,
                         validate_certificate)
-from .patterns import (Slmf, SupportPattern, degrees, drop_column, drop_row,
+from .patterns import (Slmf, SupportPattern, drop_column, drop_row,
                        emit_pattern, parse_pattern, reduce_pattern, transpose)
 from .seeding import derive_seed
 from .slmf import (RelaxedParams, ViolationWitness, induce_slmf,
@@ -39,12 +38,10 @@ __all__ = [
     "OracleVerdict",
     "ParseError",
     "PartitionCertificate",
-    "PluckerVector",
     "PrimeField",
     "Rationals",
     "RelaxedParams",
     "Slmf",
-    "SparsePerp",
     "SupportPattern",
     "ViolationWitness",
     "canonical_form",
@@ -53,7 +50,6 @@ __all__ = [
     "classify_pattern",
     "complete_matrix",
     "contains_full_bipartite",
-    "degrees",
     "derive_seed",
     "drop_column",
     "drop_row",
@@ -67,17 +63,13 @@ __all__ = [
     "is_spanning_tree",
     "jacobian_rank",
     "known_facts_crosscheck",
-    "p_phi",
     "parse_certificate",
     "parse_pattern",
     "partition_search",
-    "plucker_from_basis",
     "prev_prime",
     "random_rank_r",
     "reduce_pattern",
     "sample_patterns",
-    "section_form",
-    "sparse_perp",
     "transpose",
     "validate_certificate",
     "verify_conjecture",

@@ -83,8 +83,7 @@ def cmd_partition(args) -> int:
         validate_certificate(pattern, cert, args.r)
         _emit_json({"valid": True, "certificate": cert.as_dict()})
         return 0
-    cert = partition_search(pattern, args.r,
-                            prefer_same_phi=args.prefer_same_phi)
+    cert = partition_search(pattern, args.r)
     if cert is None:
         _emit_json({"found": False})
         return 1
@@ -216,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--certificate", default=None,
                    help="validate this certificate instead of searching")
-    p.add_argument("--prefer-same-phi", action="store_true",
-                   help="prefer a partition whose induced columns all agree")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("certify", help="run the full pipeline: size, relaxed "

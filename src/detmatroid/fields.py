@@ -116,12 +116,6 @@ class PrimeField:
     def __repr__(self):
         return "PrimeField(%d)" % self.p
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
 
 class Rationals:
     """Exact rational arithmetic via fractions.Fraction."""
@@ -171,9 +165,3 @@ class Rationals:
 
     def __repr__(self):
         return "Rationals()"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Rationals")

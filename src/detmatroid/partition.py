@@ -171,11 +171,7 @@ def _excess(mask: int, r: int) -> int:
     return e if e > 0 else 0
 
 
-def partition_search(
-    pattern: SupportPattern,
-    r: int,
-    prefer_same_phi: bool = False,
-) -> PartitionCertificate | None:
+def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | None:
     """Backtracking search for a partition into r relaxed (1,r,m) groups.
 
     Columns are processed in decreasing support size; group labels are broken
@@ -183,9 +179,11 @@ def partition_search(
     distinct partition is visited once).  A partial group is pruned unless
     every subset S of it satisfies sum of excesses over S <= #(union) - r,
     a consequence of the relaxed condition, and unless its total excess stays
-    within m-r.  At a leaf where every group meets the quota, the subset
-    prune implies the relaxed condition for each group (the worst row set is
-    always a union of group columns), so the leaf is a certificate; building
+    within m-r.  Only positive-excess columns enter those subsets: adding a
+    zero-excess column to S raises no excess and shrinks no union bound.  At
+    a leaf where every group meets the quota, the subset prune implies the
+    relaxed condition for each group (the worst row set is always a union of
+    group columns), so the leaf is a certificate; building
     it re-runs the relaxed check as a safety check, and a failure there
     raises.  That check takes the column-union route of is_relaxed_slmf:
     one pass over the 2^p subsets of a group's p positive-excess columns,
@@ -218,32 +216,16 @@ def partition_search(
     group_excess = [0] * r
     # per group: (union mask, excess sum) for each subset of assigned columns
     subsets: list[list[tuple[int, int]]] = [[(0, 0)] for _ in range(r)]
-    best: list[PartitionCertificate | None] = [None]
-
-    def groups_of() -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(r)]
-        for k in range(n):
-            out[assignment[k]].append(order[k] + 1)
-        return out
-
-    def at_leaf() -> PartitionCertificate | None:
-        for g in range(r):
-            if group_excess[g] != quota:
-                return None
-        return certificate_from_groups(pattern, r, groups_of())
 
     def search(k: int, used: int) -> PartitionCertificate | None:
         if k == n:
-            if used < r:
+            # an unopened group has excess 0 < quota
+            if any(e != quota for e in group_excess):
                 return None
-            cert = at_leaf()
-            if cert is None:
-                return None
-            if not prefer_same_phi or cert.same_phi:
-                return cert
-            if best[0] is None:
-                best[0] = cert
-            return None
+            groups: list[list[int]] = [[] for _ in range(r)]
+            for pos in range(n):
+                groups[assignment[pos]].append(order[pos] + 1)
+            return certificate_from_groups(pattern, r, groups)
         # every unopened group and every open group still short of quota
         # needs at least one future positive-excess column, all distinct
         need = (r - used) + sum(1 for g in range(used) if group_excess[g] < quota)
@@ -257,10 +239,11 @@ def partition_search(
             snap = len(subsets[g])
             ok = True
             new_pairs = []
-            for umask, esum in subsets[g]:
+            # a zero-excess column adds no subsets (see the docstring)
+            for umask, esum in subsets[g] if cexc else ():
                 nu_mask = umask | cmask
                 ne_sum = esum + cexc
-                if ne_sum > 0 and ne_sum > nu_mask.bit_count() - r:
+                if ne_sum > nu_mask.bit_count() - r:
                     ok = False
                     break
                 new_pairs.append((nu_mask, ne_sum))
@@ -275,7 +258,4 @@ def partition_search(
                 del subsets[g][snap:]
         return None
 
-    found = search(0, 0)
-    if found is not None:
-        return found
-    return best[0]
+    return search(0, 0)

@@ -197,16 +197,6 @@ def emit_pattern(pattern: SupportPattern, fmt: str = "indicator") -> str:
     raise ContractError("unknown format %r" % fmt)
 
 
-def degrees(pattern: SupportPattern) -> tuple[list[int], list[int]]:
-    """(row degrees, column degrees); sums agree with size()."""
-    col_deg = [mask.bit_count() for mask in pattern.cols]
-    row_deg = []
-    for i in range(pattern.m):
-        bit = 1 << i
-        row_deg.append(sum(1 for mask in pattern.cols if mask & bit))
-    return row_deg, col_deg
-
-
 def transpose(pattern: SupportPattern) -> SupportPattern:
     """Swap rows and columns; an involution."""
     if pattern.n > MAX_ROWS:

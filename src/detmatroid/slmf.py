@@ -19,11 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from math import comb
 
 from .errors import CapacityError, ContractError
 from .patterns import Slmf, SupportPattern, _rows_of
 
 RELAXED_SCAN_CEILING = 24
+# is_slmf walks up to 2^n column sets; a certificate's induced systems have
+# m-r <= 23 columns under the 24-row ceilings, so each one stays checkable
+SLMF_COLUMN_CEILING = RELAXED_SCAN_CEILING - 1
+MATCHING_ROW_SET_CEILING = 20_000  # is_slmf_via_matching walks C(m, r) row sets
 
 
 @dataclass(frozen=True)
@@ -213,11 +218,15 @@ def is_relaxed_slmf(
 def is_slmf(phi: Slmf) -> tuple[bool, tuple[int, ...] | None]:
     """Decide the covering condition: every k columns span >= k+r rows.
 
-    Quantifies over nonempty column subsets.  On failure returns the violating
-    column index set, minimal in size then lexicographically least.
+    Quantifies over nonempty column subsets, so more than SLMF_COLUMN_CEILING
+    columns raise CapacityError.  On failure returns the violating column
+    index set, minimal in size then lexicographically least.
     """
     masks = phi.cols
     n, r = len(masks), phi.r
+    if n > SLMF_COLUMN_CEILING:
+        raise CapacityError("%d columns exceed SLMF_COLUMN_CEILING = %d"
+                            % (n, SLMF_COLUMN_CEILING))
     for k in range(1, n + 1):
         for cols in combinations(range(n), k):
             union = 0
@@ -259,10 +268,14 @@ def is_slmf_via_matching(phi: Slmf) -> tuple[bool, tuple[int, ...] | None]:
     For every row subset I of size m-r, match each column phi_j to a distinct
     row of phi_j & I.  A perfect matching for every I is equivalent to the
     covering condition; on failure returns the first I (in lexicographic
-    order) admitting no perfect matching.
+    order) admitting no perfect matching.  More than MATCHING_ROW_SET_CEILING
+    row sets raise CapacityError.
     """
     m, r = phi.m, phi.r
     n = m - r
+    if comb(m, n) > MATCHING_ROW_SET_CEILING:
+        raise CapacityError("C(%d,%d) row sets exceed MATCHING_ROW_SET_CEILING = %d"
+                            % (m, n, MATCHING_ROW_SET_CEILING))
     for rows in combinations(range(m), n):
         pos = {i: t for t, i in enumerate(rows)}
         imask = 0

@@ -19,10 +19,11 @@ from detmatroid import (DEFAULT_PRIME, GenericityError, PrimeField,
                         RelaxedParams, Slmf, certificate_from_groups,
                         complete_matrix, emit_pattern, is_base,
                         is_relaxed_slmf, is_slmf, is_slmf_via_matching,
-                        known_facts_crosscheck, p_phi, partition_search,
-                        plucker_from_basis, random_rank_r, reduce_pattern,
-                        validate_certificate, verify_conjecture)
+                        known_facts_crosscheck, partition_search,
+                        random_rank_r, reduce_pattern, validate_certificate,
+                        verify_conjecture)
 from detmatroid.cli import main
+from plucker import p_phi, plucker_from_basis
 
 
 def _budget(start: float, limit: float) -> None:

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,18 @@ def test_check_slmf_negative_exit_one(tmp_path, capsys):
     payload = json.loads(out)
     assert not payload["slmf"] and payload["agree"]
     assert payload["witness_columns"] == [1, 2]
+
+
+def test_check_slmf_past_the_column_ceiling_exits_two(tmp_path, capsys):
+    # a valid r=1 path system on 30 rows: 29 columns {i, i+1}
+    path = _write_pattern(tmp_path, "path.txt", 30,
+                          [[i, i + 1] for i in range(1, 30)])
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["check-slmf", "--pattern", path,
+                                   "--r", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "SLMF_COLUMN_CEILING" in err
 
 
 def test_malformed_pattern_exits_two_with_empty_stdout(tmp_path, capsys):
@@ -111,6 +124,17 @@ def test_partition_search_and_validate_modes(tmp_path, capsys):
     code, out, err = _run(capsys, ["partition", "--pattern", path, "--r", "2",
                                    "--certificate", str(cert_path)])
     assert code == 2 and out == ""
+
+
+def test_partition_refuses_prefer_same_phi(tmp_path, capsys):
+    path = _write_pattern(tmp_path, "p.txt", 5, REDUCED_BASE_5X5)
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--pattern", path, "--r", "2",
+              "--prefer-same-phi"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --prefer-same-phi" in captured.err
 
 
 def test_partition_not_found_exits_one(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Minor coordinates, sparse orthogonal bases, and unique completion."""
+"""Minor coordinates and sparse orthogonal bases (the reference layer in
+plucker.py), and unique completion."""
 
 from __future__ import annotations
 
@@ -7,13 +8,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import (FULLY_REDUCIBLE_BASE_6X5, SLMF_6X4_COLUMNS, make_pattern,
-                      mat_transpose)
+from conftest import FULLY_REDUCIBLE_BASE_6X5, make_pattern, mat_transpose
 from detmatroid import (ContractError, DEFAULT_PRIME, GenericityError,
-                        PrimeField, Rationals, Slmf, complete_matrix,
-                        p_phi, partition_search, plucker_from_basis,
-                        random_rank_r, section_form, sparse_perp)
+                        PrimeField, Rationals, complete_matrix,
+                        enumerate_patterns, partition_search, random_rank_r)
 from detmatroid.linalg import mat_mul, mat_vec, rank
+from plucker import p_phi, plucker_from_basis, section_form, sparse_perp
 
 
 def _random_basis(m, r, field, rng):
@@ -172,3 +172,20 @@ def test_completion_flags_degenerate_observations_as_not_generic():
     with pytest.raises(GenericityError) as info:
         complete_matrix(pattern, 2, cert, _observe(pattern, x), field)
     assert info.value.phi is not None
+
+
+def test_certified_patterns_observe_each_phi_in_at_most_r_columns():
+    # stage 1 takes one kernel over every column containing phi; r+1 such
+    # columns would hold a fully observed (r+1) x (r+1) block, a circuit,
+    # which a certified (independent) pattern cannot contain
+    certs = 0
+    for m, n, r in ((5, 5, 2), (5, 6, 2), (6, 5, 3)):
+        for pattern in enumerate_patterns(m, n, r):
+            cert = partition_search(pattern, r)
+            if cert is None:
+                continue
+            certs += 1
+            for phi in cert.induced:
+                for key in phi.cols:
+                    assert sum(key & ~c == 0 for c in pattern.cols) <= r
+    assert certs > 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -179,9 +180,19 @@ def test_same_phi_flag_detection():
     p = make_pattern(4, [[1, 2, 3], [2, 3, 4], [1, 2, 3], [2, 3, 4]])
     cert = partition_search(p, 2)
     assert cert is not None and cert.same_phi
-    cert2 = partition_search(p, 2, prefer_same_phi=True)
-    assert cert2 is not None and cert2.same_phi
-    validate_certificate(p, cert2, 2)
+    validate_certificate(p, cert, 2)
+
+
+def test_zero_excess_columns_do_not_grow_the_search():
+    # one full column and singletons: at r = 1 every singleton has zero
+    # excess, and the one group takes them all
+    n = 40
+    p = make_pattern(3, [[1, 2, 3]] + [[1 + j % 3] for j in range(n - 1)])
+    start = time.perf_counter()
+    cert = partition_search(p, 1)
+    assert time.perf_counter() - start < 1.0
+    assert cert is not None and cert.groups == (tuple(range(1, n + 1)),)
+    validate_certificate(p, cert, 1)
 
 
 def test_singleton_groups_when_rank_is_rows_minus_one():
@@ -279,15 +290,21 @@ def _labellings(n, r):
 
 def test_search_matches_brute_force_labelling():
     rng = random.Random(21)
-    # the last shape pins every column to r+1 rows (so n = r(m-r))
-    for m, n, r, pinned in ((5, 5, 2, False), (6, 6, 2, False),
-                            (6, 5, 3, False), (6, 8, 2, True)):
+    # "pinned" gives every column r+1 rows (so n = r(m-r)); "zero" draws
+    # about half the columns at r rows, where the excess is zero
+    for m, n, r, draw in ((5, 5, 2, "free"), (6, 6, 2, "free"),
+                          (6, 5, 3, "free"), (6, 8, 2, "pinned"),
+                          (5, 8, 2, "zero"), (5, 6, 3, "zero")):
         target = r * (m + n - r)
         outcomes = set()
         for _ in range(100):
-            sizes = [r + 1 if pinned else m + 1] * n
+            sizes = [r + 1 if draw == "pinned" else m + 1] * n
             while sum(sizes) != target:
-                sizes = [rng.randint(r, m) for _ in range(n)]
+                if draw == "zero":
+                    sizes = [r if rng.random() < 0.5 else rng.randint(r + 1, m)
+                             for _ in range(n)]
+                else:
+                    sizes = [rng.randint(r, m) for _ in range(n)]
             p = make_pattern(m, [sorted(rng.sample(range(1, m + 1), s))
                                  for s in sizes])
             exists = any(

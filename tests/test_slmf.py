@@ -10,10 +10,11 @@ import pytest
 from conftest import (RELAXED_NONBASE_5X5, REDUCED_BASE_5X5,
                       REDUCED_BASE_5X5_GROUPS, UNPARTITIONABLE_BASE_6X5,
                       make_pattern)
-from detmatroid import (ContractError, RelaxedParams, Slmf, SupportPattern,
-                        ViolationWitness, enumerate_patterns, induce_slmf,
-                        is_relaxed_slmf, is_slmf, is_slmf_via_matching,
-                        partition_search)
+from detmatroid import (CapacityError, ContractError, RelaxedParams, Slmf,
+                        SupportPattern, ViolationWitness, enumerate_patterns,
+                        induce_slmf, is_relaxed_slmf, is_slmf,
+                        is_slmf_via_matching, partition_search)
+from detmatroid.slmf import MATCHING_ROW_SET_CEILING, SLMF_COLUMN_CEILING
 
 
 def _is_relaxed_slmf_by_scan(pattern, params):
@@ -114,6 +115,23 @@ def test_slmf_negative_witnesses():
     assert not ok and cols == (1, 2)
     ok2, rows = is_slmf_via_matching(phi)
     assert not ok2 and rows == (1, 2, 3, 4)
+
+
+def test_slmf_checkers_refuse_past_their_ceilings():
+    # r=1 paths {i, i+1}: valid, so an unbounded walk would visit every set
+    def path(m):
+        return Slmf.from_columns(1, m, [[i, i + 1] for i in range(1, m)])
+
+    n = SLMF_COLUMN_CEILING
+    assert is_slmf_via_matching(path(n + 2)) == (True, None)
+    with pytest.raises(CapacityError, match="SLMF_COLUMN_CEILING"):
+        is_slmf(path(n + 2))
+    # a band at m=18, r=9: 9 columns, but C(18,9) = 48620 row sets
+    band = [list(range(j, j + 10)) for j in range(1, 10)]
+    assert MATCHING_ROW_SET_CEILING < 48620
+    assert is_slmf(Slmf.from_columns(9, 18, band)) == (True, None)
+    with pytest.raises(CapacityError, match="MATCHING_ROW_SET_CEILING"):
+        is_slmf_via_matching(Slmf.from_columns(9, 18, band))
 
 
 def test_checkers_agree_exhaustively_on_small_shapes():
