@@ -9,7 +9,7 @@ and uniquely complete observed entries in the certified regime.
 from .census import (CensusReport, CensusRow, CrosscheckReport, canonical_form,
                      certify, classify_pattern, contains_full_bipartite,
                      enumerate_patterns, is_spanning_tree,
-                     known_facts_crosscheck, sample_patterns, verify_conjecture)
+                     known_facts_crosscheck, verify_conjecture)
 from .errors import (CapacityError, ContractError, DetmatroidError,
                      GenericityError, ParseError)
 from .fields import DEFAULT_PRIME, PrimeField, Rationals, prev_prime
@@ -22,7 +22,7 @@ from .patterns import (Slmf, SupportPattern, drop_column, drop_row,
                        emit_pattern, parse_pattern, reduce_pattern, transpose)
 from .seeding import derive_seed
 from .slmf import (RelaxedParams, ViolationWitness, induce_slmf,
-                   is_relaxed_slmf, is_slmf, is_slmf_via_matching)
+                   is_relaxed_slmf, is_slmf)
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "is_base",
     "is_relaxed_slmf",
     "is_slmf",
-    "is_slmf_via_matching",
     "is_spanning_tree",
     "jacobian_rank",
     "known_facts_crosscheck",
@@ -69,7 +68,6 @@ __all__ = [
     "prev_prime",
     "random_rank_r",
     "reduce_pattern",
-    "sample_patterns",
     "transpose",
     "validate_certificate",
     "verify_conjecture",

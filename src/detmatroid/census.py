@@ -20,7 +20,6 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 
 from .errors import CapacityError, ContractError
@@ -33,7 +32,6 @@ from .slmf import RelaxedParams, is_relaxed_slmf
 
 ENUM_CELL_CEILING = 36
 CANON_ROW_CEILING = 8
-_SAMPLE_ATTEMPTS = 200_000
 
 
 def canonical_form(pattern: SupportPattern) -> SupportPattern:
@@ -195,45 +193,6 @@ def enumerate_patterns(m: int, n: int, r: int,
 
     yield from rec(0, n, target if filtered else 0,
                    (full,) + (0,) * (r + 1), (full,))
-
-
-def sample_patterns(m: int, n: int, r: int, count: int, seed: int,
-                    filter: str = "base_size_and_mindeg",
-                    col_size: int | None = None) -> list[SupportPattern]:
-    """Random canonical patterns matching the filter (distinct orbits).
-
-    Rejection sampling for grids beyond the exhaustive ceiling; returns up to
-    count patterns (fewer if _SAMPLE_ATTEMPTS draws run out).
-    """
-    import random
-
-    _check_filter(filter)
-    rng = random.Random(derive_seed(seed, "sample-patterns"))
-    filtered = filter == "base_size_and_mindeg"
-    target = r * (m + n - r)
-    full = (1 << m) - 1
-    degrees = (full,) + (0,) * (r + 1)
-    out: list[SupportPattern] = []
-    seen: set[tuple[int, ...]] = set()
-    for _ in range(_SAMPLE_ATTEMPTS):
-        if len(out) >= count:
-            break
-        cols = []
-        for _ in range(n):
-            size = col_size if col_size is not None else rng.randint(
-                r + 1 if filtered else 0, m
-            )
-            cols.append(sum(1 << i for i in rng.sample(range(m), size)))
-        if filtered and (sum(c.bit_count() for c in cols) != target
-                         or any(c.bit_count() < r + 1 for c in cols)
-                         or reduce(_add_column, cols, degrees)[-1] != full):
-            continue
-        canon = canonical_form(SupportPattern(m, n, tuple(cols)))
-        if canon.cols in seen:
-            continue
-        seen.add(canon.cols)
-        out.append(canon)
-    return out
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ from .grassmann import complete_matrix
 from .oracle import DEFAULT_TRIALS
 from .partition import parse_certificate, partition_search, validate_certificate
 from .patterns import Slmf, parse_pattern
-from .slmf import (RelaxedParams, is_relaxed_slmf, is_slmf,
-                   is_slmf_via_matching)
+from .slmf import RelaxedParams, is_relaxed_slmf, is_slmf
 
 
 def _read(path: str) -> str:
@@ -42,25 +41,12 @@ def _load_pattern(args):
 
 def cmd_check_slmf(args) -> int:
     pattern = _load_pattern(args)
-    phi = Slmf.from_pattern(pattern, args.r)
-    direct, bad_cols = is_slmf(phi)
-    matched, bad_rows = is_slmf_via_matching(phi)
-    payload = {
-        "slmf": direct,
-        "via_matching": matched,
-        "agree": direct == matched,
+    ok, bad_cols = is_slmf(Slmf.from_pattern(pattern, args.r))
+    _emit_json({
+        "slmf": ok,
         "witness_columns": list(bad_cols) if bad_cols is not None else None,
-        "witness_rows": list(bad_rows) if bad_rows is not None else None,
-    }
-    if direct != matched:
-        payload["bug"] = ("the direct union-bound checker and the matching "
-                          "checker disagreed; please report this pattern")
-        _emit_json(payload)
-        print("checker disagreement on %dx%d pattern" % (pattern.m, pattern.n),
-              file=sys.stderr)
-        return 2
-    _emit_json(payload)
-    return 0 if direct else 1
+    })
+    return 0 if ok else 1
 
 
 def cmd_check_relaxed(args) -> int:

@@ -179,11 +179,14 @@ def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | 
     distinct partition is visited once).  A partial group is pruned unless
     every subset S of it satisfies sum of excesses over S <= #(union) - r,
     a consequence of the relaxed condition, and unless its total excess stays
-    within m-r.  Only positive-excess columns enter those subsets: adding a
-    zero-excess column to S raises no excess and shrinks no union bound.  At
-    a leaf where every group meets the quota, the subset prune implies the
-    relaxed condition for each group (the worst row set is always a union of
-    group columns), so the leaf is a certificate; building
+    within m-r.  Only the positive-excess columns, which sort first, are
+    searched: adding a zero-excess column to S raises no excess and shrinks
+    no union bound, and once the last positive-excess column is placed every
+    group is at quota, so the zero-excess columns all join the first group.
+    The recursion is therefore at most r(m-r) deep.  At a leaf where every
+    group meets the quota, the subset prune implies the relaxed condition
+    for each group (the worst row set is always a union of group columns),
+    so the leaf is a certificate; building
     it re-runs the relaxed check as a safety check, and a failure there
     raises.  That check takes the column-union route of is_relaxed_slmf:
     one pass over the 2^p subsets of a group's p positive-excess columns,
@@ -207,10 +210,7 @@ def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | 
     excesses = [_excess(msk, r) for msk in masks]
     if sum(excesses) != r * quota:
         return None
-    # remaining positive-excess columns from position k onward
-    pos_left = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        pos_left[k] = pos_left[k + 1] + (1 if excesses[k] > 0 else 0)
+    npos = sum(1 for e in excesses if e > 0)
 
     assignment = [0] * n
     group_excess = [0] * r
@@ -218,7 +218,7 @@ def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | 
     subsets: list[list[tuple[int, int]]] = [[(0, 0)] for _ in range(r)]
 
     def search(k: int, used: int) -> PartitionCertificate | None:
-        if k == n:
+        if k == npos:
             # an unopened group has excess 0 < quota
             if any(e != quota for e in group_excess):
                 return None
@@ -229,7 +229,7 @@ def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | 
         # every unopened group and every open group still short of quota
         # needs at least one future positive-excess column, all distinct
         need = (r - used) + sum(1 for g in range(used) if group_excess[g] < quota)
-        if pos_left[k] < need:
+        if npos - k < need:
             return None
         cmask, cexc = masks[k], excesses[k]
         limit = used + 1 if used < r else r
@@ -239,8 +239,7 @@ def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | 
             snap = len(subsets[g])
             ok = True
             new_pairs = []
-            # a zero-excess column adds no subsets (see the docstring)
-            for umask, esum in subsets[g] if cexc else ():
+            for umask, esum in subsets[g]:
                 nu_mask = umask | cmask
                 ne_sum = esum + cexc
                 if ne_sum > nu_mask.bit_count() - r:

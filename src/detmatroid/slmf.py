@@ -10,25 +10,24 @@ row subset I with at least r+1 rows
 with equality at I = [m].  Columns may be restricted to a subset J, in which
 case only those columns contribute to the sums.
 
-The matching-based checker is an independent route to the same predicate: the
-covering condition holds iff for every (m-r)-row subset I the traces
-phi_j & I admit a system of distinct representatives.
+The covering condition is decided by bipartite matching with surplus: it
+holds iff every column, copied r+1 times, matches with the other columns into
+distinct rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from math import comb
 
 from .errors import CapacityError, ContractError
 from .patterns import Slmf, SupportPattern, _rows_of
 
 RELAXED_SCAN_CEILING = 24
-# is_slmf walks up to 2^n column sets; a certificate's induced systems have
-# m-r <= 23 columns under the 24-row ceilings, so each one stays checkable
+# a negative is_slmf answer walks up to 2^n column sets for the least
+# witness; a certificate's induced systems have m-r <= 23 columns under the
+# 24-row ceilings, so each of their witnesses stays the least one
 SLMF_COLUMN_CEILING = RELAXED_SCAN_CEILING - 1
-MATCHING_ROW_SET_CEILING = 20_000  # is_slmf_via_matching walks C(m, r) row sets
 
 
 @dataclass(frozen=True)
@@ -215,18 +214,73 @@ def is_relaxed_slmf(
     return True, None
 
 
+def _augment(masks, owner: list[int], j: int) -> tuple[int, ...] | None:
+    """Match one more copy of column j by a breadth-first alternating search.
+
+    owner[x] is the column holding row x, or -1; copies of a column share its
+    rows, so they need no names.  On success the path is flipped into owner
+    and the result is None.  On failure every reached row has an owner, and
+    column j with those owners covers only the reached rows: the result is
+    that Hall set, as sorted 1-based column indices.
+    """
+    queue = [(j, -1)]  # (column, the row it gives up when it moves on)
+    via = {}  # reached row -> queue index of the column that reached it
+    seen = 0
+    for k, (c, _) in enumerate(queue):
+        rest = masks[c] & ~seen
+        seen |= rest
+        for x in _rows_of(rest):
+            x -= 1
+            via[x] = k
+            if owner[x] < 0:
+                while x >= 0:
+                    owner[x], back = queue[via[x]]
+                    x = back
+                return None
+            queue.append((owner[x], x))
+    return tuple(sorted({j + 1} | {owner[x - 1] + 1 for x in _rows_of(seen)}))
+
+
+def _surplus_hall_set(phi: Slmf) -> tuple[int, ...] | None:
+    """None when each column copied r+1 times matches, else a Hall set."""
+    masks = phi.cols
+    owner = [-1] * phi.m
+    for j in range(len(masks)):
+        if hall := _augment(masks, owner, j):
+            return hall
+    for j in range(len(masks)):
+        copy = owner[:]
+        for _ in range(phi.r):
+            if hall := _augment(masks, copy, j):
+                return hall
+    return None
+
+
 def is_slmf(phi: Slmf) -> tuple[bool, tuple[int, ...] | None]:
     """Decide the covering condition: every k columns span >= k+r rows.
 
-    Quantifies over nonempty column subsets, so more than SLMF_COLUMN_CEILING
-    columns raise CapacityError.  On failure returns the violating column
-    index set, minimal in size then lexicographically least.
+    By Hall's theorem with surplus (Lovasz and Plummer, Matching Theory,
+    1986) the condition holds exactly when, for every column j, the columns
+    match into distinct rows with j copied r+1 times: a node set holding
+    c <= r+1 copies of j and the rest of a column set S has |S| - 1 + c <=
+    |S| + r nodes and the rows of S.  So one matching of all the columns is
+    made first, then each column j has r more copies augmented into a copy
+    of it.  A positive answer is polynomial and walks nothing.
+
+    On failure returns a violating column index set.  With at most
+    SLMF_COLUMN_CEILING columns it is the least one, minimal in size then
+    lexicographically least, found by walking the column subsets in that
+    order; a walk that finds no violation raises RuntimeError, as the two
+    routes then disagree.  With more columns it is the Hall set of the
+    failed augmentation, which violates the condition but is not the least.
     """
     masks = phi.cols
     n, r = len(masks), phi.r
+    hall = _surplus_hall_set(phi)
+    if hall is None:
+        return True, None
     if n > SLMF_COLUMN_CEILING:
-        raise CapacityError("%d columns exceed SLMF_COLUMN_CEILING = %d"
-                            % (n, SLMF_COLUMN_CEILING))
+        return False, hall
     for k in range(1, n + 1):
         for cols in combinations(range(n), k):
             union = 0
@@ -234,65 +288,8 @@ def is_slmf(phi: Slmf) -> tuple[bool, tuple[int, ...] | None]:
                 union |= masks[j]
             if union.bit_count() < k + r:
                 return False, tuple(j + 1 for j in cols)
-    return True, None
-
-
-def _max_matching(adj: list[int], n_right: int) -> int:
-    """Maximum bipartite matching size; adj[u] is a bitmask of right nodes."""
-    match_right = [-1] * n_right
-
-    def try_assign(u: int, visited: list[bool]) -> bool:
-        rest = adj[u]
-        while rest:
-            low = rest & -rest
-            rest &= rest - 1
-            v = low.bit_length() - 1
-            if visited[v]:
-                continue
-            visited[v] = True
-            if match_right[v] == -1 or try_assign(match_right[v], visited):
-                match_right[v] = u
-                return True
-        return False
-
-    size = 0
-    for u in range(len(adj)):
-        if try_assign(u, [False] * n_right):
-            size += 1
-    return size
-
-
-def is_slmf_via_matching(phi: Slmf) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide the covering condition through distinct representatives.
-
-    For every row subset I of size m-r, match each column phi_j to a distinct
-    row of phi_j & I.  A perfect matching for every I is equivalent to the
-    covering condition; on failure returns the first I (in lexicographic
-    order) admitting no perfect matching.  More than MATCHING_ROW_SET_CEILING
-    row sets raise CapacityError.
-    """
-    m, r = phi.m, phi.r
-    n = m - r
-    if comb(m, n) > MATCHING_ROW_SET_CEILING:
-        raise CapacityError("C(%d,%d) row sets exceed MATCHING_ROW_SET_CEILING = %d"
-                            % (m, n, MATCHING_ROW_SET_CEILING))
-    for rows in combinations(range(m), n):
-        pos = {i: t for t, i in enumerate(rows)}
-        imask = 0
-        for i in rows:
-            imask |= 1 << i
-        adj = []
-        for cmask in phi.cols:
-            amask = 0
-            rest = cmask & imask
-            while rest:
-                low = rest & -rest
-                amask |= 1 << pos[low.bit_length() - 1]
-                rest &= rest - 1
-            adj.append(amask)
-        if _max_matching(adj, n) < n:
-            return False, tuple(i + 1 for i in rows)
-    return True, None
+    raise RuntimeError("Hall set %s violates the covering condition, but no "
+                       "column set does" % (list(hall),))
 
 
 def induce_slmf(pattern: SupportPattern, group, r: int) -> Slmf:

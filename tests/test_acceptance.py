@@ -18,12 +18,12 @@ from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
 from detmatroid import (DEFAULT_PRIME, GenericityError, PrimeField,
                         RelaxedParams, Slmf, certificate_from_groups,
                         complete_matrix, emit_pattern, is_base,
-                        is_relaxed_slmf, is_slmf, is_slmf_via_matching,
-                        known_facts_crosscheck, partition_search,
-                        random_rank_r, reduce_pattern, validate_certificate,
-                        verify_conjecture)
+                        is_relaxed_slmf, is_slmf, known_facts_crosscheck,
+                        partition_search, random_rank_r, reduce_pattern,
+                        validate_certificate, verify_conjecture)
 from detmatroid.cli import main
 from plucker import p_phi, plucker_from_basis
+from slmf_matching import is_slmf_via_matching
 
 
 def _budget(start: float, limit: float) -> None:

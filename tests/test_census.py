@@ -14,7 +14,7 @@ from detmatroid import (CapacityError, ContractError, SupportPattern,
                         canonical_form, classify_pattern,
                         contains_full_bipartite, enumerate_patterns, is_base,
                         is_spanning_tree, known_facts_crosscheck,
-                        sample_patterns, verify_conjecture)
+                        verify_conjecture)
 from detmatroid import census
 
 
@@ -148,8 +148,6 @@ def test_enumerate_yields_base_sized_min_degree_patterns():
 def test_enumerate_rejects_unknown_filter_and_capacity():
     with pytest.raises(ContractError):
         list(enumerate_patterns(2, 2, 1, filter="bogus"))
-    with pytest.raises(ContractError):
-        sample_patterns(3, 3, 1, count=3, seed=0, filter="bogus")
     with pytest.raises(CapacityError):
         list(enumerate_patterns(7, 7, 2))
 
@@ -386,14 +384,3 @@ def test_crosscheck_transposes_wide_side():
 def test_crosscheck_rejects_unsupported_rank():
     with pytest.raises(ContractError):
         known_facts_crosscheck(4, 4, 2)
-
-
-def test_sample_patterns_deterministic_and_filtered():
-    a = sample_patterns(5, 5, 2, count=5, seed=1)
-    b = sample_patterns(5, 5, 2, count=5, seed=1)
-    assert a == b and len(a) == 5
-    assert len({p.cols for p in a}) == 5
-    for p in a:
-        assert p.size() == 16
-        assert all(c.bit_count() >= 3 for c in p.cols)
-        assert canonical_form(p) == p

@@ -40,8 +40,7 @@ def test_check_slmf_positive(tmp_path, capsys):
     code, out, _ = _run(capsys, ["check-slmf", "--pattern", path, "--r", "2"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["slmf"] and payload["via_matching"] and payload["agree"]
-    assert payload["witness_columns"] is None
+    assert payload == {"slmf": True, "witness_columns": None}
 
 
 def test_check_slmf_negative_exit_one(tmp_path, capsys):
@@ -49,20 +48,20 @@ def test_check_slmf_negative_exit_one(tmp_path, capsys):
     code, out, _ = _run(capsys, ["check-slmf", "--pattern", path, "--r", "2"])
     assert code == 1
     payload = json.loads(out)
-    assert not payload["slmf"] and payload["agree"]
-    assert payload["witness_columns"] == [1, 2]
+    assert payload == {"slmf": False, "witness_columns": [1, 2]}
 
 
-def test_check_slmf_past_the_column_ceiling_exits_two(tmp_path, capsys):
-    # a valid r=1 path system on 30 rows: 29 columns {i, i+1}
+def test_check_slmf_past_the_column_ceiling_exits_zero(tmp_path, capsys):
+    # a valid r=1 path system on 30 rows: 29 columns {i, i+1}, past the
+    # least-witness walk's ceiling, decided by the surplus matching
     path = _write_pattern(tmp_path, "path.txt", 30,
                           [[i, i + 1] for i in range(1, 30)])
     start = time.perf_counter()
-    code, out, err = _run(capsys, ["check-slmf", "--pattern", path,
-                                   "--r", "1"])
+    code, out, _ = _run(capsys, ["check-slmf", "--pattern", path,
+                                 "--r", "1"])
     assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == ""
-    assert "SLMF_COLUMN_CEILING" in err
+    assert code == 0
+    assert json.loads(out) == {"slmf": True, "witness_columns": None}
 
 
 def test_malformed_pattern_exits_two_with_empty_stdout(tmp_path, capsys):
@@ -124,6 +123,22 @@ def test_partition_search_and_validate_modes(tmp_path, capsys):
     code, out, err = _run(capsys, ["partition", "--pattern", path, "--r", "2",
                                    "--certificate", str(cert_path)])
     assert code == 2 and out == ""
+
+
+def test_partition_validates_the_24_row_star_quickly(tmp_path, capsys):
+    # one full column and 23 singletons at r=1: the one group induces a
+    # 23-column star, whose covering condition the surplus matching decides
+    path = _write_pattern(tmp_path, "star.txt", 24,
+                          [list(range(1, 25))] + [[i] for i in range(2, 25)])
+    code, out, _ = _run(capsys, ["partition", "--pattern", path, "--r", "1"])
+    assert code == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(json.loads(out)["certificate"]))
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, ["partition", "--pattern", path, "--r", "1",
+                                 "--certificate", str(cert_path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["valid"]
 
 
 def test_partition_refuses_prefer_same_phi(tmp_path, capsys):

@@ -185,14 +185,16 @@ def test_same_phi_flag_detection():
 
 def test_zero_excess_columns_do_not_grow_the_search():
     # one full column and singletons: at r = 1 every singleton has zero
-    # excess, and the one group takes them all
-    n = 40
-    p = make_pattern(3, [[1, 2, 3]] + [[1 + j % 3] for j in range(n - 1)])
-    start = time.perf_counter()
-    cert = partition_search(p, 1)
-    assert time.perf_counter() - start < 1.0
-    assert cert is not None and cert.groups == (tuple(range(1, n + 1)),)
-    validate_certificate(p, cert, 1)
+    # excess, and the one group takes them all; the search recurses only
+    # over the one full column, so 1200 columns stay far from the
+    # recursion limit
+    for n in (40, 1200):
+        p = make_pattern(3, [[1, 2, 3]] + [[1 + j % 3] for j in range(n - 1)])
+        start = time.perf_counter()
+        cert = partition_search(p, 1)
+        assert time.perf_counter() - start < 1.0
+        assert cert is not None and cert.groups == (tuple(range(1, n + 1)),)
+        validate_certificate(p, cert, 1)
 
 
 def test_singleton_groups_when_rank_is_rows_minus_one():

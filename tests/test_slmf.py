@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -13,8 +14,9 @@ from conftest import (RELAXED_NONBASE_5X5, REDUCED_BASE_5X5,
 from detmatroid import (CapacityError, ContractError, RelaxedParams, Slmf,
                         SupportPattern, ViolationWitness, enumerate_patterns,
                         induce_slmf, is_relaxed_slmf, is_slmf,
-                        is_slmf_via_matching, partition_search)
-from detmatroid.slmf import MATCHING_ROW_SET_CEILING, SLMF_COLUMN_CEILING
+                        partition_search)
+from detmatroid.slmf import SLMF_COLUMN_CEILING
+from slmf_matching import MATCHING_ROW_SET_CEILING, is_slmf_via_matching
 
 
 def _is_relaxed_slmf_by_scan(pattern, params):
@@ -118,14 +120,14 @@ def test_slmf_negative_witnesses():
 
 
 def test_slmf_checkers_refuse_past_their_ceilings():
-    # r=1 paths {i, i+1}: valid, so an unbounded walk would visit every set
+    # r=1 paths {i, i+1}: valid, so a walk would visit every set; the
+    # surplus matching decides past the walk's ceiling
     def path(m):
         return Slmf.from_columns(1, m, [[i, i + 1] for i in range(1, m)])
 
     n = SLMF_COLUMN_CEILING
     assert is_slmf_via_matching(path(n + 2)) == (True, None)
-    with pytest.raises(CapacityError, match="SLMF_COLUMN_CEILING"):
-        is_slmf(path(n + 2))
+    assert is_slmf(path(n + 2)) == (True, None)
     # a band at m=18, r=9: 9 columns, but C(18,9) = 48620 row sets
     band = [list(range(j, j + 10)) for j in range(1, 10)]
     assert MATCHING_ROW_SET_CEILING < 48620
@@ -152,6 +154,65 @@ def test_checkers_agree_on_random_large_shapes():
         cols = [sorted(rng.sample(range(1, m + 1), r + 1)) for _ in range(m - r)]
         phi = Slmf.from_columns(r, m, cols)
         assert is_slmf(phi)[0] == is_slmf_via_matching(phi)[0]
+
+
+def _violates(phi, cols):
+    """True when the 1-based columns cols cover fewer than len(cols)+r rows."""
+    union = 0
+    for j in cols:
+        union |= phi.cols[j - 1]
+    return union.bit_count() < len(cols) + phi.r
+
+
+def test_surplus_matching_agrees_with_row_set_reference():
+    # 20 000 seeded systems of up to 5 columns, over a third of them
+    # negative; a negative's witness is the least violating column set
+    rng = random.Random(44)
+    verdicts = {True: 0, False: 0}
+    for _ in range(20_000):
+        r = rng.randint(1, 3)
+        m = rng.randint(r + 1, r + 5)
+        cols = [sorted(rng.sample(range(1, m + 1), r + 1)) for _ in range(m - r)]
+        phi = Slmf.from_columns(r, m, cols)
+        ok, witness = is_slmf(phi)
+        assert ok == is_slmf_via_matching(phi)[0], (r, m, cols)
+        verdicts[ok] += 1
+        if not ok:
+            assert _violates(phi, witness)
+            assert not any(_violates(phi, c)
+                           for k in range(1, len(witness))
+                           for c in combinations(range(1, m - r + 1), k))
+    assert min(verdicts.values()) > 5000
+
+
+def test_surplus_matching_decides_64_rows_quickly():
+    # the star that a full column of a 64-row r=3 certificate induces, and
+    # a band of 4 consecutive rows per column; both are valid
+    star = Slmf.from_columns(3, 64, [[1, 2, 3, t] for t in range(4, 65)])
+    band = Slmf.from_columns(3, 64, [[j, j + 1, j + 2, j + 3]
+                                     for j in range(1, 62)])
+    for phi in (star, band):
+        start = time.perf_counter()
+        assert is_slmf(phi) == (True, None)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_hall_set_past_the_walk_ceiling_violates():
+    # seeded random systems with 24 to 61 columns, nearly all negative;
+    # past SLMF_COLUMN_CEILING the witness is the failed augmentation's
+    # Hall set, which must still violate the covering condition
+    rng = random.Random(45)
+    negatives = 0
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        m = rng.randint(r + SLMF_COLUMN_CEILING + 1, 64)
+        cols = [sorted(rng.sample(range(1, m + 1), r + 1)) for _ in range(m - r)]
+        phi = Slmf.from_columns(r, m, cols)
+        ok, witness = is_slmf(phi)
+        if not ok:
+            negatives += 1
+            assert _violates(phi, witness), (r, m, cols, witness)
+    assert negatives > 200
 
 
 def test_induce_slmf_from_valid_groups(reduced_base):
