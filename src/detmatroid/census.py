@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -369,6 +368,9 @@ def verify_conjecture(m: int, n: int, r: int, prime: int = DEFAULT_PRIME,
         # a fork pool starts every worker at once; the rows do not depend on
         # the worker count, so more workers than patterns or cores buy nothing
         workers = min(jobs, len(patterns), os.cpu_count() or 1)
+        # imported here: the pool pulls in multiprocessing, which serial
+        # callers never need
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_classify_job, args, chunksize=8))
     else:

@@ -6,12 +6,16 @@ diagnostics go to stderr, and the exit code is 0 for a positive answer, 1 for
 a negative answer, 2 for contract, capacity, or parse errors and for
 internal errors.  The commands that run the rank oracle (certify,
 verify-conjecture, crosscheck) take --seed and are bit-reproducible given it.
+
+`main` may be called repeatedly in one process: the parser is built once, on
+the first call, and each call looks its handler up by name (cmd_<command>).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import traceback
@@ -160,6 +164,7 @@ def cmd_crosscheck(args) -> int:
     return 0 if report.consistent else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detmatroid",
@@ -186,14 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-slmf", help="decide the union lower bounds for "
                                           "a column-size-(r+1) pattern")
     common(p)
-    p.set_defaults(func=cmd_check_slmf)
 
     p = sub.add_parser("check-relaxed", help="decide the relaxed (nu,r,m) "
                                              "counting condition")
     common(p)
     p.add_argument("--nu", type=int, default=None,
                    help="slack parameter (default: r)")
-    p.set_defaults(func=cmd_check_relaxed)
 
     p = sub.add_parser("partition", help="search for a partition into r "
                                          "relaxed (1,r,m) groups, or validate "
@@ -201,13 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--certificate", default=None,
                    help="validate this certificate instead of searching")
-    p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("certify", help="run the full pipeline: size, relaxed "
                                        "condition, reduction, partition, "
                                        "rank oracle")
     common(p, oracle=True)
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("complete", help="uniquely complete observed entries "
                                         "to a rank-r matrix")
@@ -220,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV file of observed entries: i,j,value")
     p.add_argument("--rationals", action="store_true",
                    help="work over the rationals instead of GF(prime)")
-    p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("verify-conjecture", help="census a small grid and "
                                                  "compare all three "
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for classification")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_verify_conjecture)
 
     p = sub.add_parser("crosscheck", help="compare the rank oracle with the "
                                           "closed-form characterizations at "
@@ -245,16 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_crosscheck)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return int(args.func(args))
+        return int(handler(args))
     except GenericityError as exc:
         detail = "" if exc.phi is None else " (phi=%s)" % (list(exc.phi),)
         print("not generic: %s%s" % (exc, detail), file=sys.stderr)

@@ -6,8 +6,14 @@ property the tests rely on, all at target rank 2 unless noted.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import detmatroid
 from detmatroid import Slmf, SupportPattern
 
 # 6x4 column system, all columns size 3, satisfying the union lower bounds
@@ -36,6 +42,16 @@ RELAXED_NONBASE_5X5 = [[3, 4, 5], [3, 4, 5], [1, 2, 5], [1, 2, 5], [1, 2, 3, 4]]
 
 def make_pattern(m: int, columns) -> SupportPattern:
     return SupportPattern.from_columns(m, columns)
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on the detmatroid under test; text output."""
+    src = str(Path(detmatroid.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def mat_transpose(a: list[list]) -> list[list]:

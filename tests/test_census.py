@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import math
 import random
 
 import pytest
 
-from conftest import (RELAXED_NONBASE_5X5, REDUCED_BASE_5X5,
-                      UNPARTITIONABLE_BASE_6X5, make_pattern)
+from conftest import RELAXED_NONBASE_5X5, make_pattern, run_python
 from detmatroid import (CapacityError, ContractError, SupportPattern,
                         canonical_form, classify_pattern,
                         contains_full_bipartite, enumerate_patterns, is_base,
@@ -319,7 +319,8 @@ def test_census_worker_count_is_capped(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
+    # verify_conjecture imports the pool from concurrent.futures at call time
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     serial = verify_conjecture(5, 5, 2)
     assert len(serial.rows) == 5
     # capped by the cores, the job count, the 5 patterns, and one core when
@@ -330,6 +331,16 @@ def test_census_worker_count_is_capped(monkeypatch):
         assert verify_conjecture(5, 5, 2, jobs=jobs).rows == serial.rows
         assert started.pop() == workers
     assert started == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only verify_conjecture with jobs > 1 imports the pool, and the pool
+    # pulls in multiprocessing
+    proc = run_python("-c", "import sys, detmatroid, detmatroid.cli; print("
+                      "[m for m in ('concurrent.futures.process', "
+                      "'multiprocessing') if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("m, n, r", [(3, 3, 1), (3, 4, 2)])

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
                       RELAXED_NONBASE_5X5, SLMF_6X4_COLUMNS,
-                      UNPARTITIONABLE_BASE_6X5, make_pattern)
+                      UNPARTITIONABLE_BASE_6X5, make_pattern, run_python)
 from detmatroid import (DEFAULT_PRIME, OracleVerdict, ViolationWitness,
                         certificate_from_groups, certify, emit_pattern,
                         partition_search, random_rank_r)
@@ -274,9 +274,12 @@ def test_unexpected_exception_exits_two(tmp_path, capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "cmd_check_slmf", boom)
     path = _write_pattern(tmp_path, "phi.txt", 6, SLMF_6X4_COLUMNS)
-    code, out, err = _run(capsys, ["check-slmf", "--pattern", path, "--r", "2"])
+    argv = ["check-slmf", "--pattern", path, "--r", "2"]
+    # the parser is built by now, so the patched handler must be found by name
+    assert _run(capsys, argv)[0] == 0
+    monkeypatch.setattr(cli, "cmd_check_slmf", boom)
+    code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
     assert "internal error: RuntimeError: boom" in err
@@ -461,6 +464,48 @@ def test_crosscheck_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["cases"] == 126 and payload["disagreements"] == []
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # certify at a small prime takes a seed-dependent number of trials, so a
+    # seed left over from the call before would change the payload
+    base = _write_pattern(tmp_path, "base.txt", 6, FULLY_REDUCIBLE_BASE_6X5)
+    unpart = _write_pattern(tmp_path, "unpart.txt", 6,
+                            UNPARTITIONABLE_BASE_6X5)
+    ppath, cpath, opath, _ = _completion_files(tmp_path)
+    certify_argv = ["certify", "--pattern", base, "--r", "2", "--prime", "23"]
+    calls = [
+        certify_argv + ["--seed", "5"],
+        certify_argv,
+        ["complete", "--pattern", str(ppath), "--r", "2",
+         "--certificate", str(cpath), "--observations", str(opath)],
+        ["partition", "--pattern", unpart, "--r", "2"],
+        ["crosscheck", "--m", "3", "--n", "3", "--r", "1"],
+        certify_argv,
+    ]
+    answers = []
+    for argv in calls:
+        code, out, _ = _run(capsys, argv)
+        fresh = run_python("-m", "detmatroid.cli", *argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        answers.append((code, out))
+    assert answers[0] != answers[1]
+    assert [code for code, _ in answers] == [0, 0, 0, 1, 0, 0]
+
+
+def test_parser_answers_after_an_argparse_rejection(tmp_path, capsys):
+    path = _write_pattern(tmp_path, "phi.txt", 6, SLMF_6X4_COLUMNS)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-slmf", "--pattern", path, "--r", "two"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    code, out, _ = _run(capsys, ["check-slmf", "--pattern", path, "--r", "2"])
+    assert code == 0
+    assert json.loads(out) == {"slmf": True, "witness_columns": None}
 
 
 def test_argparse_rejects_missing_required_flags():

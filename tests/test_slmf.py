@@ -8,9 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import (RELAXED_NONBASE_5X5, REDUCED_BASE_5X5,
-                      REDUCED_BASE_5X5_GROUPS, UNPARTITIONABLE_BASE_6X5,
-                      make_pattern)
+from conftest import REDUCED_BASE_5X5, REDUCED_BASE_5X5_GROUPS, make_pattern
 from detmatroid import (CapacityError, ContractError, RelaxedParams, Slmf,
                         SupportPattern, ViolationWitness, enumerate_patterns,
                         induce_slmf, is_relaxed_slmf, is_slmf,
