@@ -185,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
                            help="field modulus (default 2^31-1)")
             p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                           help="rank oracle attempts (default %d)"
+                           help="most rank oracle attempts; they stop "
+                                "early at the counting ceiling (default %d)"
                                 % DEFAULT_TRIALS)
 
     p = sub.add_parser("check-slmf", help="decide the union lower bounds for "

@@ -6,7 +6,8 @@ entries of X = L*R with respect to the parameters (L, R) has rank equal to
 Monte Carlo test.  Full rank at any single evaluation is a genuine
 certificate of independence (a nonzero minor mod p lifts to a nonzero minor
 over the rationals); rank deficiency is evidence of dependence whose error
-probability shrinks with repeated trials and distinct primes.  A base is an
+probability shrinks with repeated trials and distinct primes, and proof of
+it when a dimension count caps the rank below #Omega.  A base is an
 independent set of size r(m+n-r), the dimension of the rank-<=r variety.
 """
 
@@ -147,15 +148,44 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     return total + len(kernel(schur, width, p, w)[0])
 
 
+def _rank_ceiling(pattern: SupportPattern, r: int) -> int:
+    """An upper bound on the generic rank of the pattern's Jacobian, by
+    counting: the least of |Omega|, r(m+n-r), sum_j min(|omega_j|, r) +
+    r(m-r) and sum_i min(d_i, r) + r(n-r), with d_i the degree of row i.
+
+    The image of J at (L, R) is the tangents dL*R + L*dR restricted to
+    Omega.  Where L has rank r (a generic point), write dL = dL' + L*g with
+    dL' in a fixed complement of {L*g}, of dimension r(m-r); then dL*R +
+    L*dR = dL'*R + L*dR' with dR' = dR + g*R.  The dL' part spans at most
+    r(m-r) dimensions, and the L*dR' part shows in column j only through
+    L[omega_j, :], of rank at most min(|omega_j|, r).  So the generic rank
+    is at most sum_j min(|omega_j|, r) + r(m-r); the row count is the same
+    argument on the transpose.  The rank at any point, over GF(p) too, is
+    at most the generic rank (a nonzero minor mod p is a nonzero
+    polynomial), so no trial exceeds this ceiling.
+    """
+    m, n = pattern.m, pattern.n
+    reach = [0] * r  # reach[k]: the rows in more than k columns so far
+    for carry in pattern.cols:
+        for k in range(r):
+            reach[k], carry = reach[k] | carry, reach[k] & carry
+    return min(pattern.size(), r * (m + n - r),
+               sum(min(col.bit_count(), r) for col in pattern.cols)
+               + r * (m - r),
+               sum(mask.bit_count() for mask in reach) + r * (n - r))
+
+
 @dataclass(frozen=True)
 class OracleVerdict:
     """Outcome of the randomized independence test.
 
     rank_required is the size of the pattern (what independence demands);
-    dimension is r(m+n-r), the variety dimension a base must match.  The
-    verdict is Monte Carlo: 'independent'/'base' are certified by the
-    full-rank witness, 'dependent'/'not_base' are supported by all trials
-    falling short.
+    dimension is r(m+n-r), the variety dimension a base must match.
+    'independent'/'base' are certified by the full-rank witness.
+    'dependent'/'not_base' are exact when the counting ceiling of
+    _rank_ceiling is below rank_required, and otherwise Monte Carlo
+    evidence from every trial falling short.  trials counts the trials run,
+    which stop once rank_observed reaches that ceiling.
     """
 
     verdict: str
@@ -181,9 +211,12 @@ def is_base(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     """Classify the pattern: base / not_base at size r(m+n-r), else
     independent / dependent.
 
-    Takes the max of jacobian_rank over the trials (rank is never
-    overestimated), stopping early once the rank reaches the pattern size.
-    A trial misses full rank with probability at most |Omega|/p, so a prime
+    Takes the max of jacobian_rank over at most `trials` trials (rank is
+    never overestimated), stopping early once the rank reaches the counting
+    ceiling _rank_ceiling, which no trial can exceed.  So a ceiling below
+    |Omega| makes 'dependent'/'not_base' exact; at base size that happens
+    exactly when some row or column has fewer than r cells.  A trial misses
+    the generic rank with probability at most |Omega|/p, so a prime
     p <= |Omega| is refused with ContractError.
     """
     m, n = pattern.m, pattern.n
@@ -204,7 +237,8 @@ def is_base(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
         rk = jacobian_rank(pattern, r, p, derive_seed(seed, "jacobian-trial-%d" % t))
         if rk > best:
             best = rk
-        if best == size:
+        # the ceiling is at most size, and is only counted on a shortfall
+        if best == size or best == _rank_ceiling(pattern, r):
             break
     if size == dim:
         verdict = "base" if best == size else "not_base"

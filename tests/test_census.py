@@ -10,12 +10,13 @@ import random
 import pytest
 
 from conftest import RELAXED_NONBASE_5X5, make_pattern, run_python
-from detmatroid import (CapacityError, ContractError, SupportPattern,
-                        canonical_form, classify_pattern,
+from detmatroid import (DEFAULT_PRIME, CapacityError, ContractError,
+                        SupportPattern, canonical_form, classify_pattern,
                         contains_full_bipartite, enumerate_patterns, is_base,
                         is_spanning_tree, known_facts_crosscheck,
                         verify_conjecture)
 from detmatroid import census
+from detmatroid.oracle import _rank_ceiling
 
 
 def _permuted(pattern, rng):
@@ -390,6 +391,27 @@ def test_crosscheck_transposes_wide_side():
     report = known_facts_crosscheck(4, 3, 2)
     assert report.cases == 66
     assert report.consistent
+
+
+def test_crosscheck_non_bases_stop_at_the_counting_ceiling(monkeypatch):
+    # every non-base of the (3,6,2) crosscheck holds a full 3x3 block and
+    # so a column of fewer than r cells elsewhere: the first trial reaches
+    # the counting ceiling below |Omega| = 14 and the trials stop there
+    seen = []
+
+    def recording_is_base(pattern, r, *args):
+        verdict = is_base(pattern, r, *args)
+        seen.append((pattern, r, verdict))
+        return verdict
+
+    monkeypatch.setattr(census, "is_base", recording_is_base)
+    report = known_facts_crosscheck(3, 6, 2)
+    assert report.consistent and report.cases == len(seen) == 3060
+    non_bases = [(p, r, v) for p, r, v in seen if v.verdict == "not_base"]
+    assert non_bases
+    for pattern, r, verdict in non_bases:
+        assert verdict.p == DEFAULT_PRIME and verdict.trials == 1
+        assert verdict.rank_observed == _rank_ceiling(pattern, r) < 14
 
 
 def test_crosscheck_rejects_unsupported_rank():

@@ -13,6 +13,7 @@ from detmatroid import (DEFAULT_PRIME, CapacityError, ContractError,
                         PrimeField, SupportPattern, is_base, jacobian_rank,
                         linalg, prev_prime, random_rank_r, transpose)
 from detmatroid.linalg import _eliminate, random_matrix, rank
+from detmatroid.oracle import _rank_ceiling
 
 
 def _jacobian_rank_dense(pattern, r, p=DEFAULT_PRIME, seed=0):
@@ -218,22 +219,80 @@ def _shared_support_corpus(count, seed):
                rng.randrange(2 ** 32))
 
 
+def test_rank_ceiling_bounds_the_dense_reference():
+    # the counting ceiling is an upper bound at every point and prime.  A
+    # dense pattern with a row or a column thinned below r cells makes the
+    # row or the column count the only binding term
+    rng = random.Random(47)
+    binding = {"row": 0, "col": 0}
+    for t in range(1200):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        r = rng.randint(1, min(m, n))
+        density = rng.random() if t % 3 == 0 else 0.5 + rng.random() / 2
+        cells = {(i, j) for i in range(1, m + 1) for j in range(1, n + 1)
+                 if rng.random() < density}
+        if t % 3:
+            axis = t % 3 - 1  # 0 thins rows, 1 thins columns
+            for _ in range(rng.randint(1, 2)):
+                k = rng.randint(1, (m, n)[axis])
+                line = sorted(c for c in cells if c[axis] == k)
+                keep = rng.randint(0, r - 1)
+                cells -= set(rng.sample(line, max(0, len(line) - keep)))
+        cols = [[i for i in range(1, m + 1) if (i, j) in cells]
+                for j in range(1, n + 1)]
+        pattern = make_pattern(m, cols)
+        ceiling = _rank_ceiling(pattern, r)
+        col_count = sum(min(len(c), r) for c in cols) + r * (m - r)
+        row_count = (sum(min(sum(i in c for c in cols), r)
+                         for i in range(1, m + 1)) + r * (n - r))
+        others = min(pattern.size(), r * (m + n - r))
+        binding["row"] += row_count < min(col_count, others)
+        binding["col"] += col_count < min(row_count, others)
+        for p in (2, 3, 7, DEFAULT_PRIME):
+            seed = rng.randrange(2 ** 32)
+            assert _jacobian_rank_dense(pattern, r, p, seed) <= ceiling, (
+                pattern, r, p, seed)
+    assert binding["row"] >= 50 and binding["col"] >= 50, binding
+
+
+def test_is_base_stops_at_a_ceiling_below_base_size():
+    # 4x4 r=2 at base size 12 with row 1 in one cell: the row count caps the
+    # rank at 1 + 3*2 + 2*2 = 11, so one trial reaching 11 proves not_base;
+    # on the transpose the column count does the same
+    pattern = make_pattern(4, [[1, 2, 3, 4], [2, 3, 4], [2, 3, 4], [2, 3]])
+    assert pattern.size() == 12
+    for case in (pattern, transpose(pattern)):
+        assert _rank_ceiling(case, 2) == 11
+        verdict = is_base(case, 2)
+        assert verdict.verdict == "not_base"
+        assert verdict.rank_observed == 11 and verdict.trials == 1
+
+
 def test_jacobian_rank_and_is_base_outputs_are_frozen():
-    # every rank and verdict (or refusal) over the corpus, hashed; the
-    # digest was recorded with one elimination per block and the point
-    # drawn by linalg.random_matrix, so grouping changes no output
-    lines = []
+    # every rank and verdict (or refusal) over the corpus, hashed twice:
+    # in full, and with the trial count left out, which pins every verdict
+    # and rank_observed apart from when the trials stop.  The trials-free
+    # digest was recorded before trials stopped at the counting ceiling
+    lines, answers = [], []
     for pattern, r, p, seed in _shared_support_corpus(2400, 2026):
+        head = "%r %d %d %d" % (pattern.cols, r, p,
+                                jacobian_rank(pattern, r, p, seed))
         try:
-            verdict = repr(is_base(pattern, r, p, seed=seed))
+            verdict = is_base(pattern, r, p, seed=seed)
         except ContractError as exc:
-            verdict = str(exc)
-        lines.append("%r %d %d %d %s" % (pattern.cols, r, p,
-                                         jacobian_rank(pattern, r, p, seed),
-                                         verdict))
+            lines.append("%s %s" % (head, exc))
+            answers.append(lines[-1])
+            continue
+        lines.append("%s %r" % (head, verdict))
+        answer = verdict.as_dict()
+        del answer["trials"]
+        answers.append("%s %r" % (head, answer))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == ("34223d43f4bb1a42d7ab31fdc39c5615"
-                      "df4e832db0f98aa1d8576f70dd3a9b3b")
+    answers_digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
+    assert answers_digest == ("811cb51a923add0d10300805c468d0f8"
+                              "a11c9f614c6a9e5a4527262a7eb7c0aa")
+    assert digest == ("8dcf4aa57a0595f82a6f4ad207fb689e"
+                      "ce15ec0fb27dd931cd074b7c4defae0e")
 
 
 def test_jacobian_rank_runs_only_on_the_packed_kernel(monkeypatch):
