@@ -38,10 +38,7 @@ def complete_matrix(
     ContractError signals a certificate/observation mismatch instead.
     """
     validate_certificate(pattern, cert, r)
-    cells = set()
-    for j, mask in enumerate(pattern.cols, start=1):
-        for i in _rows_of(mask):
-            cells.add((i, j))
+    cells = set(pattern.cells())
     given = set(observed)
     if given != cells:
         missing = sorted(cells - given)[:3]
@@ -51,12 +48,11 @@ def complete_matrix(
             "(missing %s, extra %s)" % (missing, extra)
         )
 
-    phi_keys = sorted({rows for phi in cert.induced for rows in phi.columns})
+    phi_masks = sorted({mask for phi in cert.induced for mask in phi.cols},
+                       key=_rows_of)
     normals = []
-    for key in phi_keys:
-        kmask = 0
-        for i in key:
-            kmask |= 1 << (i - 1)
+    for kmask in phi_masks:
+        key = _rows_of(kmask)
         eligible = [
             j for j in range(1, pattern.n + 1)
             if kmask & ~pattern.cols[j - 1] == 0

@@ -1,16 +1,14 @@
 """Dense exact linear algebra over a coefficient field.
 
-Matrices are lists of row lists of field elements.  Everything is plain
-Gaussian elimination; matrices here are desk-scale (tens of rows), so no
-pivoting strategy beyond "first nonzero" is needed and arithmetic stays exact.
-rref, det, solve_unique, right_kernel and the rational rank share one
-element-wise core, _eliminate.  The GF(p) rank (_rank_mod_p) and the rank
-oracle run on one packed kernel, _eliminate_mod_p: one int per row.
+Matrices are lists of row lists of field elements (over GF(p), reduced
+residues).  Everything is plain Gaussian elimination; matrices here are
+desk-scale (tens of rows), so no pivoting strategy beyond "first nonzero" is
+needed and arithmetic stays exact.  rref, det, solve_unique, right_kernel and
+rank share one element-wise core, _eliminate.  The rank oracle runs on the
+packed GF(p) kernel, _eliminate_mod_p: one int per row.
 """
 
 from __future__ import annotations
-
-from .fields import PrimeField
 
 
 def random_matrix(rows: int, cols: int, field, rng) -> list[list]:
@@ -130,24 +128,8 @@ def _slot_width(p: int, terms: int) -> int:
     return 2 * p.bit_length() + terms.bit_length() + 1
 
 
-def _pack(row: list, p: int, w: int) -> int:
-    """One int holding row[j] mod p in the w-bit slot at bit w*j."""
-    return sum(v % p << w * j for j, v in enumerate(row) if v)
-
-
-def _rank_mod_p(a: list[list], p: int) -> int:
-    """Rank over GF(p) of a matrix of ints (any residues): pack, then
-    eliminate every slot, each taking at most cols updates."""
-    cols = len(a[0]) if a else 0
-    w = _slot_width(p, cols)
-    return len(_eliminate_mod_p([_pack(row, p, w) for row in a], cols, p, w)[0])
-
-
 def rank(a: list[list], field) -> int:
-    """Rank of a: over GF(p) by the packed kernel (_rank_mod_p), over other
-    fields by forward elimination on a working copy."""
-    if isinstance(field, PrimeField):
-        return _rank_mod_p(a, field.p)
+    """Rank of a, by forward elimination on a working copy."""
     return len(_eliminate(a, field)[1])
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import CapacityError, ContractError
 from .fields import DEFAULT_PRIME, PrimeField
-from .patterns import SupportPattern
+from .patterns import SupportPattern, transpose
 from .seeding import derive_seed
 
 DEFAULT_TRIALS = 3
@@ -113,9 +113,7 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
         supports = pattern.cols
         n = m
     else:
-        supports = [sum((col >> i & 1) << j
-                        for j, col in enumerate(pattern.cols))
-                    for i in range(m)]
+        supports = transpose(pattern).cols
     groups = {}
     for i, support in enumerate(supports):
         if support:

@@ -12,7 +12,8 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import CapacityError, ContractError, ParseError
-from .patterns import Slmf, SupportPattern, _rows_of
+from .patterns import (Slmf, SupportPattern, _cols_of_rows, _indicator_rows,
+                       _rows_of)
 from .slmf import RelaxedParams, induce_slmf, is_relaxed_slmf, is_slmf
 
 PARTITION_ROW_CEILING = 24
@@ -32,18 +33,10 @@ class PartitionCertificate:
         return len({tuple(sorted(phi.cols)) for phi in self.induced}) == 1
 
     def as_dict(self) -> dict:
-        phis = []
-        for phi in self.induced:
-            pat = phi.as_pattern()
-            rows = []
-            for i in range(pat.m):
-                bit = 1 << i
-                rows.append([1 if mask & bit else 0 for mask in pat.cols])
-            phis.append(rows)
         return {
             "r": self.r,
             "groups": [list(g) for g in self.groups],
-            "phis": phis,
+            "phis": [_indicator_rows(phi.m, phi.cols) for phi in self.induced],
             "same_phi": self.same_phi,
         }
 
@@ -111,22 +104,15 @@ def parse_certificate(text: str) -> PartitionCertificate:
     for pi, rows in enumerate(phis_raw, start=1):
         if not isinstance(rows, list) or not rows:
             raise ParseError("phis[%d]: expected an indicator matrix" % pi)
-        m = len(rows)
-        width = None
-        cols = None
         for i, row in enumerate(rows, start=1):
-            if not isinstance(row, list) or not all(v in (0, 1) for v in row):
+            if not isinstance(row, list) or not all(
+                type(v) is int and v in (0, 1) for v in row
+            ):
                 raise ParseError("phis[%d] row %d: expected 0/1 entries" % (pi, i))
-            if width is None:
-                width = len(row)
-                cols = [0] * width
-            elif len(row) != width:
+            if len(row) != len(rows[0]):
                 raise ParseError("phis[%d] row %d: ragged row" % (pi, i))
-            for j, v in enumerate(row):
-                if v:
-                    cols[j] |= 1 << (i - 1)
         try:
-            induced.append(Slmf(r, m, tuple(cols)))
+            induced.append(Slmf(r, len(rows), _cols_of_rows(rows)))
         except ContractError as exc:
             raise ParseError("phis[%d]: %s" % (pi, exc)) from None
     cert = PartitionCertificate(r, tuple(groups), tuple(induced))

@@ -4,6 +4,10 @@ A support pattern records which entries of an m x n matrix are observed, as a
 set of cells given column by column: column j observes the rows in its support
 set.  Patterns are immutable; row sets are stored as bitmasks (bit i-1 = row i)
 which caps m at 64 rows, far beyond the exhaustive-search ceilings elsewhere.
+This module owns that mask format for the whole package: row lists become
+masks through _bits_of and back through _rows_of, 0/1 indicator rows through
+_cols_of_rows and back through _indicator_rows, and transpose swaps the two
+sides.
 
 An Slmf holds the column supports of a (r,m) linkage matching field support:
 exactly m-r columns, each with r+1 rows.  Whether such a system actually
@@ -28,6 +32,8 @@ MAX_ROWS = 64
 
 
 def _bits_of(rows, m: int, what: str) -> int:
+    if m > MAX_ROWS:
+        raise CapacityError("m=%d exceeds the %d-row ceiling" % (m, MAX_ROWS))
     mask = 0
     for i in rows:
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= m:
@@ -48,6 +54,16 @@ def _rows_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
+
+
+def _indicator_rows(m: int, cols) -> list[list[int]]:
+    """The m 0/1 rows of column masks: row i holds bit i-1 of each mask."""
+    return [[mask >> i & 1 for mask in cols] for i in range(m)]
+
+
+def _cols_of_rows(rows) -> tuple[int, ...]:
+    """Column masks of validated 0/1 rows of one width (no rows, no columns)."""
+    return tuple(sum(v << i for i, v in enumerate(col)) for col in zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -129,15 +145,7 @@ def _parse_indicator(text: str) -> SupportPattern:
                 raise ParseError("line %d: invalid token %r" % (lineno, tok))
             row.append(tok == "1")
         rows.append(row)
-    m, n = len(rows), width
-    cols = []
-    for j in range(n):
-        mask = 0
-        for i in range(m):
-            if rows[i][j]:
-                mask |= 1 << i
-        cols.append(mask)
-    return SupportPattern(m, n, tuple(cols))
+    return SupportPattern(len(rows), width, _cols_of_rows(rows))
 
 
 def _parse_json(text: str) -> SupportPattern:
@@ -157,6 +165,8 @@ def _parse_json(text: str) -> SupportPattern:
         raise ParseError("field 'n': expected a nonnegative integer")
     if not isinstance(columns, list) or len(columns) != n:
         raise ParseError("field 'columns': expected a list of %r column lists" % n)
+    if m > MAX_ROWS:
+        raise CapacityError("m=%d exceeds the %d-row ceiling" % (m, MAX_ROWS))
     cols = []
     for j, col in enumerate(columns, start=1):
         if not isinstance(col, list):
@@ -174,19 +184,14 @@ def _parse_json(text: str) -> SupportPattern:
                 raise ParseError("columns[%d]: duplicate row index %d" % (j, entry))
             mask |= bit
         cols.append(mask)
-    if m > MAX_ROWS:
-        raise CapacityError("m=%d exceeds the %d-row ceiling" % (m, MAX_ROWS))
     return SupportPattern(m, n, tuple(cols))
 
 
 def emit_pattern(pattern: SupportPattern, fmt: str = "indicator") -> str:
     """Serialize a pattern; deterministic, round-trips through parse_pattern."""
     if fmt == "indicator":
-        lines = []
-        for i in range(pattern.m):
-            bit = 1 << i
-            lines.append(" ".join("1" if mask & bit else "0" for mask in pattern.cols))
-        return "\n".join(lines) + "\n"
+        rows = _indicator_rows(pattern.m, pattern.cols)
+        return "\n".join(" ".join(map(str, row)) for row in rows) + "\n"
     if fmt == "json":
         payload = {
             "m": pattern.m,
@@ -281,20 +286,16 @@ class Slmf:
     cols: tuple[int, ...]
 
     def __post_init__(self):
+        self.as_pattern()  # the row ceiling and the column ranges
         if self.r < 1:
             raise ContractError("r must be >= 1")
-        if self.m > MAX_ROWS:
-            raise CapacityError("m=%d exceeds the %d-row ceiling" % (self.m, MAX_ROWS))
         if self.m < self.r + 1:
             raise ContractError("need m >= r+1, got r=%d m=%d" % (self.r, self.m))
         if len(self.cols) != self.m - self.r:
             raise ContractError(
                 "expected m-r=%d columns, got %d" % (self.m - self.r, len(self.cols))
             )
-        full = (1 << self.m) - 1
         for j, mask in enumerate(self.cols, start=1):
-            if not isinstance(mask, int) or mask < 0 or mask & ~full:
-                raise ContractError("column %d support out of range" % j)
             if mask.bit_count() != self.r + 1:
                 raise ContractError(
                     "column %d has %d rows, need r+1=%d"

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 from conftest import mat_transpose
 from detmatroid import DEFAULT_PRIME, PrimeField, Rationals
-from detmatroid.linalg import (_eliminate, _eliminate_mod_p, _pack, det,
-                               mat_mul, mat_vec, rank, right_kernel, rref,
-                               solve_unique, submatrix)
+from detmatroid.linalg import (_eliminate, _eliminate_mod_p, det, mat_mul,
+                               mat_vec, rank, right_kernel, rref, solve_unique,
+                               submatrix)
 
 
 def _det_leibniz(a, field):
@@ -50,12 +50,15 @@ def test_rank_matches_brute_force():
         for _ in range(60):
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
             a = _random_matrix(rows, cols, field, rng)
-            assert rank([row[:] for row in a], field) == _rank_brute(a, field)
+            copy = [row[:] for row in a]
+            assert rank(a, field) == _rank_brute(a, field)
+            assert a == copy
+        assert rank([], field) == rank([[]], field) == 0
 
 
-def _rank_by_eliminate(a, p):
-    """Reference GF(p) rank: pivots of the element-wise elimination core."""
-    return len(_eliminate([[v % p for v in row] for row in a], PrimeField(p))[1])
+def _pack(row, p, w):
+    """One int holding row[j] mod p in the w-bit slot at bit w*j."""
+    return sum(v % p << w * j for j, v in enumerate(row) if v)
 
 
 def _int_matrix(rows, cols, p, rng, k=None):
@@ -82,38 +85,6 @@ def _int_matrix(rows, cols, p, rng, k=None):
              for v in row] for row in a]
 
 
-def test_packed_gf_p_rank_matches_elimination_core():
-    p = DEFAULT_PRIME
-    rng = random.Random(8)
-    cases = [(_int_matrix(rows, cols, q, rng), q)
-             for q in (2, 3, 7, 65521, p)
-             for rows in range(13) for cols in range(13)]
-    # slot overflow: entries near p, 60 independent rows plus copies of the
-    # last ten; each copy takes about 60 updates of up to p^2 per slot and
-    # must still end at 0 mod p, while a carry out of a slot would leave it
-    # independent
-    near_p = [[rng.choice((p - 2, p - 1)) for _ in range(70)] for _ in range(60)]
-    near_p += [row[:] for row in near_p[50:]]
-    cases += [(_int_matrix(200, 40, p, rng, k=40), p),
-              (_int_matrix(40, 200, p, rng, k=31), p), (near_p, p)]
-    assert any(not a for a, _ in cases) and any(a and not a[0] for a, _ in cases)
-    assert any(v < 0 for a, _ in cases for row in a for v in row)
-    assert any(v >= q for a, q in cases for row in a for v in row)
-    assert any(row == [0] * len(row) for a, _ in cases for row in a if row)
-    assert any(len(set(map(tuple, a))) < len(a) for a, _ in cases)
-    ranks = []
-    for a, q in cases:
-        copy = [row[:] for row in a]
-        got = rank(a, PrimeField(q))
-        assert a == copy
-        assert got == _rank_by_eliminate(a, q), (a, q)
-        ranks.append(got)
-    tall, wide, near_p_rank = ranks[-3:]
-    assert tall == 40 and 0 < wide <= 31 and near_p_rank == 60
-    assert any(0 < got < min(len(a), len(a[0]))
-               for got, (a, _) in zip(ranks, cases) if a and a[0])
-
-
 def test_partial_packed_kernel_matches_elimination_core():
     # the kernel stopped after `limit` slots: its pivot slots are the rref
     # pivots below limit, its survivors are rows of the row space that are
@@ -131,8 +102,16 @@ def test_partial_packed_kernel_matches_elimination_core():
     worst = [[(p - 1 - j if j < k else 1 - k) % p for j in range(63)]
              for k in range(63)]
     worst += [row[:] for row in worst[55:]]
-    cases += [(worst, p), (_int_matrix(60, 30, p, rng, k=25), p)]
-    split, peak = 0, 0
+    # slot overflow on entries near p: 60 independent rows plus copies of
+    # the last ten, each of which must still end at 0 mod p, while a carry
+    # out of a slot would leave it independent; then a tall and a wide
+    # product of known rank
+    near_p = [[rng.choice((p - 2, p - 1)) for _ in range(70)] for _ in range(60)]
+    near_p += [row[:] for row in near_p[50:]]
+    cases += [(worst, p), (_int_matrix(60, 30, p, rng, k=25), p), (near_p, p),
+              (_int_matrix(200, 40, p, rng, k=40), p),
+              (_int_matrix(40, 200, p, rng, k=31), p)]
+    split, peak, ranks = 0, 0, []
     for a, q in cases:
         field = PrimeField(q)
         cols = len(a[0])
@@ -140,6 +119,7 @@ def test_partial_packed_kernel_matches_elimination_core():
         mask = (1 << w) - 1
         reduced = [[v % q for v in row] for row in a]
         full = rref(reduced, field)[1]
+        ranks.append(len(full))
         rows = [_pack(row, q, w) for row in a]
         for limit in {1, rng.randint(1, cols), max(1, cols // 2),
                       max(1, cols - 1), cols}:
@@ -159,6 +139,8 @@ def test_partial_packed_kernel_matches_elimination_core():
             assert again[1] == []
             split += 0 < len(pivots) and 0 < len(again[0])
     assert split > 100 and peak > 0.95
+    near_p_rank, tall, wide = ranks[-3:]
+    assert near_p_rank == 60 and tall == 40 and 0 < wide <= 31
 
 
 def test_det_matches_leibniz_and_rules():

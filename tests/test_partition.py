@@ -144,6 +144,14 @@ def test_parse_certificate_rejects_malformed(reduced_base):
     d["same_phi"] = not d["same_phi"]
     with pytest.raises(ParseError, match="same_phi flag inconsistent"):
         parse_certificate(json.dumps(d))
+    # phis hold JSON integers 0 and 1, not booleans or floats
+    for wrong in (True, False, 1.0, 0.0):
+        d = certificate_from_groups(reduced_base, 2,
+                                    REDUCED_BASE_5X5_GROUPS).as_dict()
+        row = d["phis"][1][2]
+        row[row.index(int(wrong))] = wrong
+        with pytest.raises(ParseError, match=r"phis\[2\] row 3: expected 0/1"):
+            parse_certificate(json.dumps(d))
 
 
 def test_validate_certificate_rejects_tampering(reduced_base):

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
                       UNPARTITIONABLE_BASE_6X5, make_pattern)
-from detmatroid import (ContractError, ParseError, Slmf, SupportPattern,
-                        drop_column, drop_row, emit_pattern, parse_pattern,
-                        reduce_pattern, transpose)
+from detmatroid import (CapacityError, ContractError, ParseError, Slmf,
+                        SupportPattern, drop_column, drop_row, emit_pattern,
+                        parse_pattern, partition_search, reduce_pattern,
+                        transpose)
+from detmatroid.patterns import _cols_of_rows, _indicator_rows
 
 
 def _replay_reduction(pattern, log):
@@ -123,8 +129,61 @@ def test_slmf_validation():
         Slmf.from_columns(2, 6, [[2, 4], [1, 2, 4], [1, 2, 5], [1, 3, 5]])
     with pytest.raises(ContractError):
         Slmf.from_columns(3, 3, [])
+    with pytest.raises(ContractError, match="column 1 support out of range"):
+        Slmf(1, 3, (0b1001, 0b11))
 
 
 def test_pattern_rejects_row_ceiling():
     with pytest.raises(ContractError):
         SupportPattern(65, 1, (1,))
+    with pytest.raises(CapacityError, match="64-row ceiling"):
+        Slmf(1, 65, (1,) * 64)
+    # refused before a mask is built: a row index of 2^40 would need a
+    # 2^40-bit integer
+    huge = 2 ** 40
+    for build in (lambda: SupportPattern.from_columns(huge, [[huge]]),
+                  lambda: Slmf.from_columns(huge - 1, huge, [range(1, huge + 1)]),
+                  lambda: parse_pattern(json.dumps(
+                      {"m": huge, "n": 1, "columns": [[huge]]}))):
+        with pytest.raises(CapacityError,
+                           match="m=%d exceeds the 64-row ceiling" % huge):
+            build()
+
+
+def _windows_pattern(rng):
+    """A base-size pattern that partitions at rank r: r groups of the m-r
+    windows of r+1 consecutive rows, each group under its own row order,
+    plus up to two columns of size r, in shuffled column order."""
+    m = rng.randint(2, 8)
+    r = rng.randint(1, m - 1)
+    cols = []
+    for _ in range(r):
+        order = rng.sample(range(m), m)
+        cols += [sum(1 << order[i] for i in range(k, k + r + 1))
+                 for k in range(m - r)]
+    cols += [sum(1 << i for i in rng.sample(range(m), r))
+             for _ in range(rng.randint(0, 2))]
+    rng.shuffle(cols)
+    return SupportPattern(m, len(cols), tuple(cols)), r
+
+
+def test_mask_format_round_trips_and_prints_unchanged():
+    # rows and masks convert both ways without loss, and the printed
+    # patterns and certificates are pinned byte for byte
+    rng = random.Random(19)
+    shapes = [(0, 0), (5, 0)] + [(rng.randint(1, 12), rng.randint(1, 12))
+                                 for _ in range(500)]
+    printed = []
+    for m, n in shapes:
+        p = SupportPattern(m, n, tuple(rng.randrange(1 << m) for _ in range(n)))
+        rows = _indicator_rows(m, p.cols)
+        assert len(rows) == m and all(len(row) == n for row in rows)
+        assert _cols_of_rows(rows) == p.cols
+        printed += [emit_pattern(p), emit_pattern(p, "json")]
+    for _ in range(200):
+        p, r = _windows_pattern(rng)
+        cert = partition_search(p, r)
+        printed += [emit_pattern(p), emit_pattern(p, "json"), cert.to_json()]
+    digest = hashlib.sha256("".join(printed).encode()).hexdigest()
+    assert digest == ("f9b6ac4925a09c548b3b6e9cb18bedbe"
+                      "ee2706cd9080e9796a539db65eb5dfab")
