@@ -25,7 +25,8 @@ from .errors import CapacityError, ContractError
 from .fields import DEFAULT_PRIME, prev_prime
 from .oracle import DEFAULT_TRIALS, is_base
 from .partition import partition_search
-from .patterns import SupportPattern, emit_pattern, reduce_pattern, transpose
+from .patterns import (SupportPattern, _bits_of, emit_pattern, reduce_pattern,
+                       transpose)
 from .seeding import derive_seed
 from .slmf import RelaxedParams, is_relaxed_slmf
 
@@ -470,11 +471,12 @@ def known_facts_crosscheck(m: int, n: int, r: int, prime: int = DEFAULT_PRIME,
     work = transpose if m > n else (lambda p: p)
     disagreements = []
     cases = 0
-    cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    # each cell as (column index, row mask), in row-major order
+    cells = [(j, _bits_of((i,), m, "cell")) for i in range(1, m + 1) for j in range(n)]
     for subset in combinations(cells, target):
         cols = [0] * n
-        for i, j in subset:
-            cols[j - 1] |= 1 << (i - 1)
+        for j, bit in subset:
+            cols[j] |= bit
         pattern = SupportPattern(m, n, tuple(cols))
         cases += 1
         oriented = work(pattern)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .errors import CapacityError, ContractError, ParseError
 from .patterns import (Slmf, SupportPattern, _cols_of_rows, _indicator_rows,
                        _rows_of)
-from .slmf import RelaxedParams, induce_slmf, is_relaxed_slmf, is_slmf
+from .slmf import (RelaxedParams, _unions_cover_excess, induce_slmf,
+                   is_relaxed_slmf, is_slmf)
 
 PARTITION_ROW_CEILING = 24
 
@@ -160,23 +161,23 @@ def _excess(mask: int, r: int) -> int:
 def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | None:
     """Backtracking search for a partition into r relaxed (1,r,m) groups.
 
-    Columns are processed in decreasing support size; group labels are broken
-    by restricted growth (a column may open at most one new group, so each
-    distinct partition is visited once).  A partial group is pruned unless
-    every subset S of it satisfies sum of excesses over S <= #(union) - r,
-    a consequence of the relaxed condition, and unless its total excess stays
-    within m-r.  Only the positive-excess columns, which sort first, are
-    searched: adding a zero-excess column to S raises no excess and shrinks
-    no union bound, and once the last positive-excess column is placed every
-    group is at quota, so the zero-excess columns all join the first group.
-    The recursion is therefore at most r(m-r) deep.  At a leaf where every
-    group meets the quota, the subset prune implies the relaxed condition
-    for each group (the worst row set is always a union of group columns),
-    so the leaf is a certificate; building
-    it re-runs the relaxed check as a safety check, and a failure there
-    raises.  That check takes the column-union route of is_relaxed_slmf:
-    one pass over the 2^p subsets of a group's p positive-excess columns,
-    the sets the prune already checked, instead of a scan of row subsets.
+    Columns are processed in decreasing support size; group labels are
+    broken by restricted growth (a column may open at most one new group, so
+    each distinct partition is visited once).  A column joins a group only
+    if the group's total excess stays within m-r and every set S of group
+    columns holding it has sum of excesses over S <= #(union) - r, a
+    consequence of the relaxed condition; _unions_cover_excess walks those
+    sets from the new column.  Memory is polynomial; time is exponential in
+    the group size, under PARTITION_ROW_CEILING.  Only the positive-excess
+    columns, which sort first, are searched: adding a zero-excess column to
+    S raises no excess and shrinks no union bound, and once the last
+    positive-excess column is placed every group is at quota, so the
+    zero-excess columns all join the first group.  The recursion is
+    therefore at most r(m-r) deep.  At a leaf where every group meets the
+    quota, the prune implies the relaxed condition for each group (the worst
+    row set is always a union of group columns), so the leaf is a
+    certificate; building it re-runs the relaxed check, the same walk over
+    all of a group's sets, as a safety check, and a failure there raises.
     None means the search was exhaustive and no partition exists.
     """
     m, n = pattern.m, pattern.n
@@ -200,8 +201,8 @@ def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | 
 
     assignment = [0] * n
     group_excess = [0] * r
-    # per group: (union mask, excess sum) for each subset of assigned columns
-    subsets: list[list[tuple[int, int]]] = [[(0, 0)] for _ in range(r)]
+    # per group: (mask, excess) of each assigned positive-excess column
+    members: list[list[tuple[int, int]]] = [[] for _ in range(r)]
 
     def search(k: int, used: int) -> PartitionCertificate | None:
         if k == npos:
@@ -222,25 +223,15 @@ def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | 
         for g in range(limit):
             if group_excess[g] + cexc > quota:
                 continue
-            snap = len(subsets[g])
-            ok = True
-            new_pairs = []
-            for umask, esum in subsets[g]:
-                nu_mask = umask | cmask
-                ne_sum = esum + cexc
-                if ne_sum > nu_mask.bit_count() - r:
-                    ok = False
-                    break
-                new_pairs.append((nu_mask, ne_sum))
-            if ok:
-                subsets[g].extend(new_pairs)
+            if _unions_cover_excess(members[g], r, cmask, cexc):
+                members[g].append((cmask, cexc))
                 group_excess[g] += cexc
                 assignment[k] = g
                 got = search(k + 1, used + 1 if g == used else used)
                 if got is not None:
                     return got
                 group_excess[g] -= cexc
-                del subsets[g][snap:]
+                members[g].pop()
         return None
 
     return search(0, 0)

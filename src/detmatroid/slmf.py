@@ -91,22 +91,27 @@ def _selected_masks(pattern: SupportPattern, params: RelaxedParams) -> list[int]
     return masks
 
 
-def _unions_cover_excess(excess_cols: list[tuple[int, int]], r: int) -> bool:
-    """True when every nonempty set S of (mask, excess) columns has
-    sum of excesses over S <= #(union of S) - r.
+def _unions_cover_excess(excess_cols: list[tuple[int, int]], r: int,
+                         union: int = 0, esum: int = 0) -> bool:
+    """True when every nonempty set S of (mask, excess) columns, joined to
+    the start column (union, esum), has sum of excesses <= #(union) - r.
 
-    Depth-first over the subsets, each reached once as the extension of S
-    minus its last column, so memory stays quadratic in the column count.
+    Depth-first, each S reached once as the extension of S minus its last
+    column, so memory stays quadratic in the column count.  The slack-1
+    route of is_relaxed_slmf starts from no column, partition_search from
+    the column it places (which alone passes: its excess is its size less r).
     """
-    stack = [(0, 0, 0)]
+    n = len(excess_cols)
+    stack = [(union, esum, 0)]
     while stack:
-        union, esum, start = stack.pop()
-        for t in range(start, len(excess_cols)):
-            mask, e = excess_cols[t]
+        union, esum, t = stack.pop()
+        for mask, e in excess_cols[t:]:
+            t += 1
             u, s = union | mask, esum + e
             if s > u.bit_count() - r:
                 return False
-            stack.append((u, s, t + 1))
+            if t < n:
+                stack.append((u, s, t))
     return True
 
 
@@ -320,10 +325,11 @@ def induce_slmf(pattern: SupportPattern, group, r: int) -> Slmf:
         cmask = pattern.cols[j - 1]
         if cmask.bit_count() <= r:
             continue
-        rows = _rows_of(cmask)
-        stem = 0
-        for i in rows[:r]:
-            stem |= 1 << (i - 1)
-        for t in rows[r:]:
-            cols.append(stem | (1 << (t - 1)))
+        stem, rest = 0, cmask
+        for _ in range(r):  # the r lowest bits are the r smallest rows
+            stem |= rest & -rest
+            rest &= rest - 1
+        while rest:
+            cols.append(stem | (rest & -rest))
+            rest &= rest - 1
     return Slmf(r, pattern.m, tuple(cols))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -203,6 +204,20 @@ def test_zero_excess_columns_do_not_grow_the_search():
         assert time.perf_counter() - start < 1.0
         assert cert is not None and cert.groups == (tuple(range(1, n + 1)),)
         validate_certificate(p, cert, 1)
+
+
+def test_search_memory_stays_polynomial_in_one_large_group():
+    # at r = 1 the 17 columns {1, i} form one group; the prune walks the
+    # sets holding each new column instead of storing all 2^17 subsets
+    p = make_pattern(18, [[1, i] for i in range(2, 19)])
+    tracemalloc.start()
+    try:
+        cert = partition_search(p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert cert is not None and cert.groups == (tuple(range(1, 18)),)
 
 
 def test_singleton_groups_when_rank_is_rows_minus_one():

@@ -13,7 +13,7 @@ from detmatroid import (CapacityError, ContractError, RelaxedParams, Slmf,
                         SupportPattern, ViolationWitness, enumerate_patterns,
                         induce_slmf, is_relaxed_slmf, is_slmf,
                         partition_search)
-from detmatroid.slmf import SLMF_COLUMN_CEILING
+from detmatroid.slmf import SLMF_COLUMN_CEILING, _unions_cover_excess
 from slmf_matching import MATCHING_ROW_SET_CEILING, is_slmf_via_matching
 
 
@@ -340,6 +340,32 @@ def test_relaxed_nu1_column_route_matches_scan_reference():
             row_scan_only += 1
     assert quota_outcomes == outcomes == {True, False}
     assert row_scan_only > 0
+
+
+def test_column_union_walk_from_a_start_column_matches_brute_force():
+    # partition_search's prune: every set of group members, joined to the
+    # new column, must have sum of excesses <= #(union) - r
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(5000):
+        m = rng.randint(3, 9)
+        r = rng.randint(1, m - 2)
+        cols = []
+        for _ in range(rng.randint(1, 6)):
+            mask = sum(1 << i for i in rng.sample(range(m), rng.randint(r + 1, m)))
+            cols.append((mask, mask.bit_count() - r))
+        (cmask, cexc), members = cols[0], cols[1:]
+        expected = True
+        for k in range(len(members) + 1):
+            for subset in combinations(members, k):
+                union, esum = cmask, cexc
+                for mask, e in subset:
+                    union, esum = union | mask, esum + e
+                expected = expected and esum <= union.bit_count() - r
+        assert _unions_cover_excess(members, r, cmask, cexc) == expected, (
+            members, r, cmask, cexc)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_relaxed_prefix_prune_matches_scan_reference_at_11_to_16_rows():
