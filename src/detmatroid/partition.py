@@ -54,10 +54,14 @@ def _check_groups(groups, n: int, r: int) -> None:
         if not g:
             raise ContractError("groups must be nonempty")
         for j in g:
+            if not (isinstance(j, int) and 1 <= j <= n):
+                raise ContractError("column %r is out of range 1..%d" % (j, n))
             if j in seen:
-                raise ContractError("column %d appears in two groups" % j)
+                where = ("twice in group %s" % list(g) if g.count(j) > 1
+                         else "in two groups")
+                raise ContractError("column %d appears %s" % (j, where))
             seen.add(j)
-    if seen != set(range(1, n + 1)):
+    if len(seen) != n:
         raise ContractError("groups must cover columns 1..%d exactly" % n)
 
 

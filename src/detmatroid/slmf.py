@@ -18,16 +18,12 @@ distinct rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .errors import CapacityError, ContractError
 from .patterns import Slmf, SupportPattern, _rows_of
 
 RELAXED_SCAN_CEILING = 24
-# a negative is_slmf answer walks up to 2^n column sets for the least
-# witness; a certificate's induced systems have m-r <= 23 columns under the
-# 24-row ceilings, so each of their witnesses stays the least one
-SLMF_COLUMN_CEILING = RELAXED_SCAN_CEILING - 1
 
 
 @dataclass(frozen=True)
@@ -270,31 +266,29 @@ def is_slmf(phi: Slmf) -> tuple[bool, tuple[int, ...] | None]:
     c <= r+1 copies of j and the rest of a column set S has |S| - 1 + c <=
     |S| + r nodes and the rows of S.  So one matching of all the columns is
     made first, then each column j has r more copies augmented into a copy
-    of it.  A positive answer is polynomial and walks nothing.
+    of it.  Both answers are polynomial; nothing walks the column subsets.
 
-    On failure returns a violating column index set.  With at most
-    SLMF_COLUMN_CEILING columns it is the least one, minimal in size then
-    lexicographically least, found by walking the column subsets in that
-    order; a walk that finds no violation raises RuntimeError, as the two
-    routes then disagree.  With more columns it is the Hall set of the
-    failed augmentation, which violates the condition but is not the least.
+    On failure returns a violating column index set.  The failed search's
+    Hall set H violates: its columns cover only the reached rows, owned by
+    at most |H| - 1 + r matched copies (r at most of the augmented column).
+    Each column of H, highest index first, is then dropped when the rest
+    (never empty: one column covers r+1 rows) still covers fewer than
+    |rest| + r rows, in passes until none drops.  So the witness violates,
+    no rest of it missing one column does, and it need not be the least.
     """
-    masks = phi.cols
-    n, r = len(masks), phi.r
-    hall = _surplus_hall_set(phi)
-    if hall is None:
+    witness, kept = _surplus_hall_set(phi), None
+    if witness is None:
         return True, None
-    if n > SLMF_COLUMN_CEILING:
-        return False, hall
-    for k in range(1, n + 1):
-        for cols in combinations(range(n), k):
+    while witness != kept:
+        kept = witness
+        for j in reversed(kept):
+            rest = [c for c in witness if c != j]
             union = 0
-            for j in cols:
-                union |= masks[j]
-            if union.bit_count() < k + r:
-                return False, tuple(j + 1 for j in cols)
-    raise RuntimeError("Hall set %s violates the covering condition, but no "
-                       "column set does" % (list(hall),))
+            for c in rest:
+                union |= phi.cols[c - 1]
+            if union.bit_count() < len(rest) + phi.r:
+                witness = rest
+    return False, tuple(witness)
 
 
 def induce_slmf(pattern: SupportPattern, group, r: int) -> Slmf:

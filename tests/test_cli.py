@@ -51,9 +51,9 @@ def test_check_slmf_negative_exit_one(tmp_path, capsys):
     assert payload == {"slmf": False, "witness_columns": [1, 2]}
 
 
-def test_check_slmf_past_the_column_ceiling_exits_zero(tmp_path, capsys):
-    # a valid r=1 path system on 30 rows: 29 columns {i, i+1}, past the
-    # least-witness walk's ceiling, decided by the surplus matching
+def test_check_slmf_on_a_30_row_path_exits_zero(tmp_path, capsys):
+    # a valid r=1 path system on 30 rows: 29 columns {i, i+1}, decided by
+    # the surplus matching without walking its 2^29 column sets
     path = _write_pattern(tmp_path, "path.txt", 30,
                           [[i, i + 1] for i in range(1, 30)])
     start = time.perf_counter()

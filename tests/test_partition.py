@@ -160,6 +160,10 @@ def test_validate_certificate_rejects_tampering(reduced_base):
     # building a certificate runs the same group check as validating one
     for groups, message in [([[1, 3, 4], [2, 4, 5]], "column 4 appears in two"),
                             ([[1, 3, 4], [2]], "cover columns 1..5 exactly"),
+                            ([[1, 1, 3, 5], [2, 4]],
+                             r"column 1 appears twice in group \[1, 1, 3, 5\]"),
+                            ([[1, 3, 5], [2, 4, 9]],
+                             r"column 9 is out of range 1\.\.5"),
                             ([[1, 3, 4, 2, 5]], "expected 2 groups, got 1"),
                             ([[1, 2, 3, 4, 5], []], "groups must be nonempty")]:
         with pytest.raises(ContractError, match=message):

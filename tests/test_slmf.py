@@ -13,7 +13,7 @@ from detmatroid import (CapacityError, ContractError, RelaxedParams, Slmf,
                         SupportPattern, ViolationWitness, enumerate_patterns,
                         induce_slmf, is_relaxed_slmf, is_slmf,
                         partition_search)
-from detmatroid.slmf import SLMF_COLUMN_CEILING, _unions_cover_excess
+from detmatroid.slmf import _unions_cover_excess
 from slmf_matching import MATCHING_ROW_SET_CEILING, is_slmf_via_matching
 
 
@@ -118,14 +118,11 @@ def test_slmf_negative_witnesses():
 
 
 def test_slmf_checkers_refuse_past_their_ceilings():
-    # r=1 paths {i, i+1}: valid, so a walk would visit every set; the
-    # surplus matching decides past the walk's ceiling
-    def path(m):
-        return Slmf.from_columns(1, m, [[i, i + 1] for i in range(1, m)])
-
-    n = SLMF_COLUMN_CEILING
-    assert is_slmf_via_matching(path(n + 2)) == (True, None)
-    assert is_slmf(path(n + 2)) == (True, None)
+    # the r=1 path {i, i+1} on 25 rows: valid, so a subset walk would visit
+    # all 2^24 column sets; the surplus matching decides it at once
+    path = Slmf.from_columns(1, 25, [[i, i + 1] for i in range(1, 25)])
+    assert is_slmf_via_matching(path) == (True, None)
+    assert is_slmf(path) == (True, None)
     # a band at m=18, r=9: 9 columns, but C(18,9) = 48620 row sets
     band = [list(range(j, j + 10)) for j in range(1, 10)]
     assert MATCHING_ROW_SET_CEILING < 48620
@@ -162,9 +159,18 @@ def _violates(phi, cols):
     return union.bit_count() < len(cols) + phi.r
 
 
+def _assert_one_minimal_violation(phi, witness):
+    """The witness violates, and dropping any one column of it does not."""
+    assert _violates(phi, witness), (phi, witness)
+    for j in witness:
+        rest = [c for c in witness if c != j]
+        assert not _violates(phi, rest), (phi, witness, j)
+
+
 def test_surplus_matching_agrees_with_row_set_reference():
     # 20 000 seeded systems of up to 5 columns, over a third of them
-    # negative; a negative's witness is the least violating column set
+    # negative; a negative's witness violates, and no single column of it
+    # can be dropped with the rest still violating
     rng = random.Random(44)
     verdicts = {True: 0, False: 0}
     for _ in range(20_000):
@@ -176,10 +182,7 @@ def test_surplus_matching_agrees_with_row_set_reference():
         assert ok == is_slmf_via_matching(phi)[0], (r, m, cols)
         verdicts[ok] += 1
         if not ok:
-            assert _violates(phi, witness)
-            assert not any(_violates(phi, c)
-                           for k in range(1, len(witness))
-                           for c in combinations(range(1, m - r + 1), k))
+            _assert_one_minimal_violation(phi, witness)
     assert min(verdicts.values()) > 5000
 
 
@@ -195,22 +198,32 @@ def test_surplus_matching_decides_64_rows_quickly():
         assert time.perf_counter() - start < 0.1
 
 
-def test_hall_set_past_the_walk_ceiling_violates():
-    # seeded random systems with 24 to 61 columns, nearly all negative;
-    # past SLMF_COLUMN_CEILING the witness is the failed augmentation's
-    # Hall set, which must still violate the covering condition
+def test_shrunk_hall_set_violates_on_24_to_61_columns():
+    # seeded random systems with 24 to 61 columns, nearly all negative; the
+    # witness, the failed augmentation's Hall set shrunk by counting unions,
+    # must violate the covering condition and be 1-minimal
     rng = random.Random(45)
     negatives = 0
     for _ in range(300):
         r = rng.randint(1, 3)
-        m = rng.randint(r + SLMF_COLUMN_CEILING + 1, 64)
+        m = rng.randint(r + 24, 64)
         cols = [sorted(rng.sample(range(1, m + 1), r + 1)) for _ in range(m - r)]
         phi = Slmf.from_columns(r, m, cols)
         ok, witness = is_slmf(phi)
         if not ok:
             negatives += 1
-            assert _violates(phi, witness), (r, m, cols, witness)
+            _assert_one_minimal_violation(phi, witness)
     assert negatives > 200
+
+
+def test_cycle_negative_is_witnessed_at_once():
+    # the 24-row r=1 cycle {i, i mod 23 + 1}: its 23 columns cover 23 rows,
+    # and every proper subset covers enough, so the witness is all of them;
+    # a walk over the column subsets would visit all 2^23 before finding it
+    phi = Slmf.from_columns(1, 24, [[i, i % 23 + 1] for i in range(1, 24)])
+    start = time.perf_counter()
+    assert is_slmf(phi) == (False, tuple(range(1, 24)))
+    assert time.perf_counter() - start < 0.05
 
 
 def test_induce_slmf_from_valid_groups(reduced_base):
