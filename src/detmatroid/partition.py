@@ -47,14 +47,20 @@ class PartitionCertificate:
 
 def _check_groups(groups, n: int, r: int) -> None:
     """Raise ContractError unless r nonempty groups cover columns 1..n once."""
+    if not isinstance(groups, (list, tuple)):
+        raise ContractError("groups: expected a list of %d groups" % r)
     if len(groups) != r:
         raise ContractError("expected %d groups, got %d" % (r, len(groups)))
     seen = set()
     for g in groups:
+        if not isinstance(g, (list, tuple)) or not all(
+                isinstance(j, int) and not isinstance(j, bool) for j in g):
+            raise ContractError("group %r: expected a list of column indices"
+                                % (g,))
         if not g:
             raise ContractError("groups must be nonempty")
         for j in g:
-            if not (isinstance(j, int) and 1 <= j <= n):
+            if not 1 <= j <= n:
                 raise ContractError("column %r is out of range 1..%d" % (j, n))
             if j in seen:
                 where = ("twice in group %s" % list(g) if g.count(j) > 1
@@ -68,12 +74,12 @@ def _check_groups(groups, n: int, r: int) -> None:
 def certificate_from_groups(pattern: SupportPattern, r: int, groups) -> PartitionCertificate:
     """Build and validate a certificate from r column groups.
 
-    Groups are sorted internally and ordered by least member; each must be a
-    relaxed (1,r,m)-SLMF (induce_slmf raises otherwise).
+    Groups are checked as given, then sorted internally and ordered by least
+    member; each must be a relaxed (1,r,m)-SLMF (induce_slmf raises
+    otherwise).
     """
-    norm = [tuple(sorted(g)) for g in groups]
-    _check_groups(norm, pattern.n, r)
-    norm.sort(key=lambda g: g[0])
+    _check_groups(groups, pattern.n, r)
+    norm = sorted((tuple(sorted(g)) for g in groups), key=lambda g: g[0])
     induced = tuple(induce_slmf(pattern, g, r) for g in norm)
     return PartitionCertificate(r, tuple(norm), induced)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import CapacityError, ContractError
-from .patterns import Slmf, SupportPattern, _rows_of
+from .patterns import Slmf, SupportPattern, _rows_of, transpose
 
 RELAXED_SCAN_CEILING = 24
 
@@ -39,10 +39,10 @@ class RelaxedParams:
     restricted_to: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.nu, int) or self.nu < 1:
-            raise ContractError("nu must be a positive integer")
-        if not isinstance(self.r, int) or self.r < 1:
-            raise ContractError("r must be a positive integer")
+        for name in ("nu", "r"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ContractError("%s must be a positive integer" % name)
         if self.nu > self.r:
             raise ContractError("nu must satisfy 1 <= nu <= r, got nu=%d r=%d"
                                 % (self.nu, self.r))
@@ -77,7 +77,8 @@ def _selected_masks(pattern: SupportPattern, params: RelaxedParams) -> list[int]
     seen = set()
     masks = []
     for j in params.restricted_to:
-        if not isinstance(j, int) or not 1 <= j <= pattern.n:
+        if (not isinstance(j, int) or isinstance(j, bool)
+                or not 1 <= j <= pattern.n):
             raise ContractError("restricted_to: column %r out of range 1..%d"
                                 % (j, pattern.n))
         if j in seen:
@@ -111,6 +112,76 @@ def _unions_cover_excess(excess_cols: list[tuple[int, int]], r: int,
     return True
 
 
+def _first_violation(masks, m: int, r: int, nu: int):
+    """The first row set I of [m] with #I > r and
+
+        sum_j max(#(masks_j & I) - r, 0)  >  nu * (#I - r),
+
+    in order of size and then of combinations, as (0-based rows, lhs, rhs);
+    None when no such row set exists.  Needs m <= RELAXED_SCAN_CEILING and
+    r < RELAXED_SCAN_CEILING.
+
+    Each size is a depth-first walk over row prefixes in combinations order.
+    Each column's count #(masks_j & I) sits in a w-bit field of one integer,
+    biased so that the field's top bit is set exactly when the count reaches
+    r; the left side is then a mask-and-multiply followed by a digit sum mod
+    2^w - 1.  A prefix P that still needs q rows from the rows s..m-1 is
+    pruned when the left side at the capped counts c_j(P) + min(q, a_j)
+    stays within the bound, a_j being column j's count in those rows.  That
+    is sound: every completion adds at most min(q, a_j) rows to column j,
+    and the left side never falls when a count rises.  The a_j come from a
+    packed suffix sum, and min(q, a_j) is a_j less the low bits of a_j +
+    2^(w-1) - q wherever that field's top bit is set; as a_j <= m < 2^(w-1)
+    this add neither borrows nor carries across fields, and c_j(P) + a_j <=
+    #omega_j keeps the capped sum in its field.  At q = 1 this subsumes
+    skipping a head whose columns holding r rows would each gain one: only
+    the columns with a row left can gain.  The full row set needs no scan:
+    its left side is the total excess.
+    """
+    total = sum(max(c.bit_count() - r, 0) for c in masks)
+    # 2^(w-1) exceeds m, every field's excess and their sum, and the bias
+    # 2^(w-1) - r stays nonnegative since m and r stay below 32
+    w = max(6, total.bit_length() + 1)
+    half = 1 << (w - 1)
+    fold, low = (1 << w) - 1, half - 1
+    ones = 0
+    row_vecs = [0] * m
+    for j, cmask in enumerate(masks):
+        ones |= 1 << (w * j)
+        for i in _rows_of(cmask):
+            row_vecs[i - 1] += 1 << (w * j)
+    high, bias = half * ones, (half - r) * ones
+    # suffix[s] holds each column's count a_j in the rows s..m-1
+    suffix = list(accumulate(reversed(row_vecs), initial=0))[::-1]
+
+    for k in range(r + 1, m):
+        rhs = nu * (k - r)
+        stack = [((), bias, 0)]
+        while stack:
+            head, base, start = stack.pop()
+            q = k - len(head)
+            if q == 1:
+                for x in range(start, m):
+                    t = base + row_vecs[x]
+                    lhs = (t & ((t & high) >> (w - 1)) * low) % fold
+                    if lhs > rhs:
+                        return head + (x,), lhs, rhs
+                continue
+            # push the children x in descending order, so they pop in
+            # combinations order, each unless its cap bound stays within rhs;
+            # a child still needs q-1 rows, so a_j loses its excess over q-1
+            cut = high - (q - 1) * ones
+            for x in range(m - q, start - 1, -1):
+                b = base + row_vecs[x]
+                a = suffix[x + 1]
+                t = a + cut
+                t = b + a - (t & ((t & high) >> (w - 1)) * low)
+                if (t & ((t & high) >> (w - 1)) * low) % fold > rhs:
+                    stack.append((head + (x,), b, x + 1))
+    rhs = nu * (m - r)
+    return (tuple(range(m)), total, rhs) if m > r and total > rhs else None
+
+
 def is_relaxed_slmf(
     pattern: SupportPattern,
     params: RelaxedParams,
@@ -132,24 +203,22 @@ def is_relaxed_slmf(
     enumerates at most 2^(m-r) column sets instead of the row subsets; it
     only ever answers True.
 
-    Every other case, and every negative answer, comes from the row scan:
-    sizes r+1..m in ascending order, each size a depth-first walk over row
-    prefixes in combinations order, so the first violation met is the
-    witness.  Each column's count #(omega_j & I) sits in a w-bit field of
-    one integer, biased so that the field's top bit is set exactly when the
-    count reaches r; the left side is then a mask-and-multiply followed by
-    a digit sum mod 2^w - 1.  A prefix P that still needs q rows from the
-    rows s..m-1 is pruned when the left side at the capped counts
-    c_j(P) + min(q, a_j) stays within the bound, a_j being column j's count
-    in those rows.  That is sound: every completion adds at most min(q, a_j)
-    rows to column j, and the left side never falls when a count rises.
-    The a_j come from a packed suffix sum, and min(q, a_j) is a_j less the
-    low bits of a_j + 2^(w-1) - q wherever that field's top bit is set; as
-    a_j <= m < 2^(w-1) this add neither borrows nor carries across fields,
-    and c_j(P) + a_j <= #omega_j keeps the capped sum in its field.  At
-    q = 1 this subsumes skipping a head whose columns holding r rows would
-    each gain one: only the columns with a row left can gain.  The full
-    row set needs no scan: its left side is the total excess.
+    At nu = r the inequality is symmetric in rows and columns.  For a fixed
+    I the left side is max over column sets J of #(Omega & IxJ) - r#J, so I
+    passes exactly when #(Omega & IxJ) <= r(#I + #J - r) for every J: the
+    dimension count of the rank-r matrices on the block IxJ (Kiraly, Theran
+    and Tomioka, JMLR 2015).  No J of at most r columns can break it when
+    #I >= r+1, since (#I - r)(r - #J) >= 0, so the inequality holds for
+    every I exactly when the transposed pattern, restricted to the selected
+    columns, passes it for every column set J of r+1 or more columns.  When
+    fewer columns are selected than there are rows, that shorter scan runs
+    first, and if it finds nothing the answer comes from the equality at
+    [m] alone: a positive answer at nu = r on a tall pattern comes from the
+    column side.
+
+    Every other case, and every negative answer with its witness, comes
+    from the row scan of _first_violation, sizes r+1..m in ascending order,
+    so the first violation met is the witness.
     """
     r, nu = params.r, params.nu
     if r >= pattern.m:
@@ -159,59 +228,22 @@ def is_relaxed_slmf(
         raise CapacityError("m=%d exceeds the subset-scan ceiling %d"
                             % (pattern.m, RELAXED_SCAN_CEILING))
     masks = _selected_masks(pattern, params)
-    m = pattern.m
+    m, n = pattern.m, len(masks)
     excess_cols = [(c, c.bit_count() - r) for c in masks if c.bit_count() > r]
     total = sum(e for _, e in excess_cols)
     if nu == 1 and total == m - r and _unions_cover_excess(excess_cols, r):
         return True, None
-
-    # 2^(w-1) exceeds m, every field's excess and their sum, and the bias
-    # 2^(w-1) - r stays nonnegative since r < m <= RELAXED_SCAN_CEILING < 32
-    w = max(6, total.bit_length() + 1)
-    half = 1 << (w - 1)
-    fold, low = (1 << w) - 1, half - 1
-    ones = 0
-    row_vecs = [0] * m
-    for j, cmask in enumerate(masks):
-        ones |= 1 << (w * j)
-        for i in _rows_of(cmask):
-            row_vecs[i - 1] += 1 << (w * j)
-    high, bias = half * ones, (half - r) * ones
-    # suffix[s] holds each column's count a_j in the rows s..m-1
-    suffix = list(accumulate(reversed(row_vecs), initial=0))[::-1]
-
-    def witness(rows, lhs, rhs, kind):
-        return False, ViolationWitness(tuple(i + 1 for i in rows), lhs, rhs, kind)
-
-    for k in range(r + 1, m):
-        rhs = nu * (k - r)
-        stack = [((), bias, 0)]
-        while stack:
-            head, base, start = stack.pop()
-            q = k - len(head)
-            if q == 1:
-                for x in range(start, m):
-                    t = base + row_vecs[x]
-                    lhs = (t & ((t & high) >> (w - 1)) * low) % fold
-                    if lhs > rhs:
-                        return witness(head + (x,), lhs, rhs, "inequality_violated")
-                continue
-            # push the children x in descending order, so they pop in
-            # combinations order, each unless its cap bound stays within rhs;
-            # a child still needs q-1 rows, so a_j loses its excess over q-1
-            cut = high - (q - 1) * ones
-            for x in range(m - q, start - 1, -1):
-                b = base + row_vecs[x]
-                a = suffix[x + 1]
-                t = a + cut
-                t = b + a - (t & ((t & high) >> (w - 1)) * low)
-                if (t & ((t & high) >> (w - 1)) * low) % fold > rhs:
-                    stack.append((head + (x,), b, x + 1))
+    if nu < r or n >= m or _first_violation(
+            transpose(SupportPattern(m, n, tuple(masks))).cols, n, r, nu):
+        found = _first_violation(masks, m, r, nu)
+        if found is not None:
+            rows, lhs, rhs = found
+            return False, ViolationWitness(tuple(i + 1 for i in rows), lhs,
+                                           rhs, "inequality_violated")
     rhs = nu * (m - r)
-    if total > rhs:
-        return witness(range(m), total, rhs, "inequality_violated")
     if total < rhs:
-        return witness(range(m), total, rhs, "equality_failed_at_full_set")
+        return False, ViolationWitness(tuple(range(1, m + 1)), total, rhs,
+                                       "equality_failed_at_full_set")
     return True, None
 
 

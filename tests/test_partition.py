@@ -155,6 +155,17 @@ def test_parse_certificate_rejects_malformed(reduced_base):
             parse_certificate(json.dumps(d))
 
 
+def test_certificate_from_groups_names_malformed_groups(reduced_base):
+    # groups are checked as given, before they are sorted, and a bool is
+    # not a column index: True would print as true and fail to parse back
+    for groups, message in [([[1, "a", 3], [2, 4, 5]], r"group \[1, 'a', 3\]"),
+                            ([[1, 3, 4], 7], "group 7"),
+                            ([[True, 3, 4], [2, 5]], r"group \[True, 3, 4\]"),
+                            ({1: (1, 3, 4), 2: (2, 5)}, "expected a list")]:
+        with pytest.raises(ContractError, match=message):
+            certificate_from_groups(reduced_base, 2, groups)
+
+
 def test_validate_certificate_rejects_tampering(reduced_base):
     cert = certificate_from_groups(reduced_base, 2, REDUCED_BASE_5X5_GROUPS)
     # building a certificate runs the same group check as validating one

@@ -13,6 +13,7 @@ from detmatroid import (CapacityError, ContractError, RelaxedParams, Slmf,
                         SupportPattern, ViolationWitness, enumerate_patterns,
                         induce_slmf, is_relaxed_slmf, is_slmf,
                         partition_search)
+from detmatroid import slmf
 from detmatroid.slmf import _unions_cover_excess
 from slmf_matching import MATCHING_ROW_SET_CEILING, is_slmf_via_matching
 
@@ -68,6 +69,16 @@ def test_relaxed_params_validation():
         RelaxedParams(0, 3)
     with pytest.raises(ContractError):
         RelaxedParams(4, 3)
+
+
+def test_bools_are_not_relaxed_parameters(reduced_base):
+    # True == 1, but a bool is not a slack, a rank or a column index
+    with pytest.raises(ContractError, match="nu must be a positive integer"):
+        RelaxedParams(True, 2)
+    with pytest.raises(ContractError, match="r must be a positive integer"):
+        RelaxedParams(1, True)
+    with pytest.raises(ContractError, match="column True out of range"):
+        is_relaxed_slmf(reduced_base, RelaxedParams(1, 2, (True, 3, 4)))
 
 
 def test_relaxed_positive_fixtures(unpartitionable_base, reduced_base,
@@ -413,3 +424,63 @@ def test_relaxed_prefix_prune_matches_scan_reference_at_11_to_16_rows():
     assert kinds == {"relaxed", "inequality_violated",
                      "equality_failed_at_full_set"}
     assert deep >= 15
+
+
+# 24x8, size 60 = r(m+n-r) at r=2: relaxed at nu=2, and the row scan alone
+# takes over 2 s to show it
+TALL_24X8 = (5448202, 5600, 723125, 17415, 1839560, 1104916, 12182016,
+             15467072)
+
+
+def test_relaxed_tall_patterns_at_nu_r_match_scan_reference():
+    # at nu = r, fewer selected columns than rows: the column sets are
+    # scanned first, and a violation there falls back to the row scan for
+    # the witness; base-size draws give the positives, free sizes the rest
+    rng = random.Random(36)
+    kinds = set()
+    for trial in range(300):
+        m = rng.randint(3, 12)
+        r = rng.randint(1, m - 2)
+        n = rng.randint(1, m - 1)
+        if trial % 2:
+            total = min(r * (m + n - r), n * m)
+            sizes = _sizes_summing_to(rng, n, total, 1, m)
+        else:
+            sizes = [rng.randint(0, m) for _ in range(n)]
+        pattern = SupportPattern.from_columns(m, _random_columns(rng, m, sizes))
+        group = tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        for restricted in (None, group):
+            ok, witness = _check_against_scan(pattern,
+                                              RelaxedParams(r, r, restricted))
+            kinds.add(("relaxed" if ok else witness.kind, restricted is None))
+    assert kinds == {(kind, whole) for whole in (True, False)
+                     for kind in ("relaxed", "inequality_violated",
+                                  "equality_failed_at_full_set")}
+
+
+def test_tall_positive_is_decided_on_the_column_side(monkeypatch):
+    pattern = SupportPattern(24, 8, TALL_24X8)
+    assert pattern.size() == 60
+    scanned = []
+    scan = slmf._first_violation
+
+    def spy(masks, m, r, nu):
+        scanned.append(m)
+        return scan(masks, m, r, nu)
+
+    monkeypatch.setattr(slmf, "_first_violation", spy)
+    start = time.perf_counter()
+    assert is_relaxed_slmf(pattern, RelaxedParams(2, 2)) == (True, None)
+    assert time.perf_counter() - start < 0.1
+    assert scanned == [8]
+    ok, witness = is_relaxed_slmf(pattern, RelaxedParams(1, 2))
+    assert not ok
+    assert witness == ViolationWitness((3, 5, 12), 2, 1, "inequality_violated")
+
+
+def test_relaxed_scan_ceiling_still_counts_rows():
+    # 25 rows and 3 columns: the column side is short, the ceiling is on m
+    tall = SupportPattern.from_columns(25, [range(1, 26)] * 3)
+    for nu in (1, 3):
+        with pytest.raises(CapacityError, match="ceiling 24"):
+            is_relaxed_slmf(tall, RelaxedParams(nu, 3))
