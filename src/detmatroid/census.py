@@ -28,7 +28,7 @@ from .partition import partition_search
 from .patterns import (SupportPattern, _bits_of, emit_pattern, reduce_pattern,
                        transpose)
 from .seeding import derive_seed
-from .slmf import RelaxedParams, is_relaxed_slmf
+from .slmf import RelaxedParams, _check_scan_shape, is_relaxed_slmf
 
 ENUM_CELL_CEILING = 36
 CANON_ROW_CEILING = 8
@@ -233,11 +233,25 @@ def certify(pattern: SupportPattern, r: int, prime: int = DEFAULT_PRIME,
             trials: int = DEFAULT_TRIALS, seed: int = 0) -> dict:
     """The certification pipeline; returns the payload the CLI prints.
 
-    Stages: size gate (a wrong size stops here), relaxed (r,r,m) condition,
-    reduction, partition search (on the input, then on the reduction, or
-    "trivial" when it empties the pattern) and rank oracle.  The payload ends
-    with "certified" (plus "reason" when negative), or with "bug" when an
-    oracle base fails the relaxed condition or the oracle refutes a partition.
+    Payload stages, in order: size gate (a wrong size stops here), relaxed
+    (r,r,m) condition, reduction, partition search (on the input, then on
+    the reduction, or "trivial" when it empties the pattern) and rank
+    oracle.  The payload ends with "certified" (plus "reason" when
+    negative), or with "bug" when an oracle base fails the relaxed
+    condition or the oracle refutes a partition.
+
+    They run in another order: after the size gate come the row scan's
+    refusals (r < m, m within RELAXED_SCAN_CEILING), then the partition
+    search on the input, and an input partition decides the relaxed stage.
+    Each of its r groups passed the relaxed (1,r,m) check when the
+    certificate was built, so for every row set I with #I > r
+
+        sum over group g of sum_{j in g} max(#(omega_j & I) - r, 0)
+            <= r * (#I - r),   with equality at I = [m],
+
+    and as the groups partition the columns the left side is that of the
+    relaxed (r,r,m) condition.  The row scan runs only when the input has
+    no partition.
     """
     m, n = pattern.m, pattern.n
     size = pattern.size()
@@ -247,7 +261,11 @@ def certify(pattern: SupportPattern, r: int, prime: int = DEFAULT_PRIME,
     if size != dim:
         payload.update(certified=False, reason="size")
         return payload
-    relaxed_ok, violation = is_relaxed_slmf(pattern, RelaxedParams(r, r))
+    params = RelaxedParams(r, r)
+    _check_scan_shape(pattern, r)  # the scan's refusals come first
+    cert = partition_search(pattern, r)
+    relaxed_ok, violation = ((True, None) if cert is not None
+                             else is_relaxed_slmf(pattern, params))
     stages["relaxed"] = {
         "ok": relaxed_ok,
         "witness": violation.as_dict() if violation is not None else None,
@@ -259,7 +277,6 @@ def certify(pattern: SupportPattern, r: int, prime: int = DEFAULT_PRIME,
         "reduced_n": reduced.n,
         "reduced_size": reduced.size(),
     }
-    cert = partition_search(pattern, r)
     part_on = "input"
     if cert is None and log:
         if reduced.size() == 0:

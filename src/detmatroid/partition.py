@@ -187,8 +187,9 @@ def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | 
     quota, the prune implies the relaxed condition for each group (the worst
     row set is always a union of group columns), so the leaf is a
     certificate; building it re-runs the relaxed check, the same walk over
-    all of a group's sets, as a safety check, and a failure there raises.
-    None means the search was exhaustive and no partition exists.
+    all of a group's sets, and a failure there raises.  census.certify reads
+    the relaxed (r,r,m) stage off a certificate, so that check stays.  None
+    means the search was exhaustive and no partition exists.
     """
     m, n = pattern.m, pattern.n
     if r < 1 or r >= m:

@@ -182,6 +182,16 @@ def _first_violation(masks, m: int, r: int, nu: int):
     return (tuple(range(m)), total, rhs) if m > r and total > rhs else None
 
 
+def _check_scan_shape(pattern: SupportPattern, r: int) -> None:
+    """The row scan's refusals: r must be below m, and m within the ceiling."""
+    if r >= pattern.m:
+        raise ContractError("relaxed check needs r < m, got r=%d m=%d"
+                            % (r, pattern.m))
+    if pattern.m > RELAXED_SCAN_CEILING:
+        raise CapacityError("m=%d exceeds the subset-scan ceiling %d"
+                            % (pattern.m, RELAXED_SCAN_CEILING))
+
+
 def is_relaxed_slmf(
     pattern: SupportPattern,
     params: RelaxedParams,
@@ -221,12 +231,7 @@ def is_relaxed_slmf(
     so the first violation met is the witness.
     """
     r, nu = params.r, params.nu
-    if r >= pattern.m:
-        raise ContractError("relaxed check needs r < m, got r=%d m=%d"
-                            % (r, pattern.m))
-    if pattern.m > RELAXED_SCAN_CEILING:
-        raise CapacityError("m=%d exceeds the subset-scan ceiling %d"
-                            % (pattern.m, RELAXED_SCAN_CEILING))
+    _check_scan_shape(pattern, r)
     masks = _selected_masks(pattern, params)
     m, n = pattern.m, len(masks)
     excess_cols = [(c, c.bit_count() - r) for c in masks if c.bit_count() > r]

@@ -44,6 +44,35 @@ def make_pattern(m: int, columns) -> SupportPattern:
     return SupportPattern.from_columns(m, columns)
 
 
+def draw_base_size(rng, m: int, n: int, r: int, spread: bool) -> SupportPattern:
+    """A seeded random pattern of size r(m+n-r).
+
+    With spread every row degree and column size is at least r+1: r+1 random
+    cells in each row, each short column topped up at random rows, and the
+    draw retried if that passes the size; then uniform cells up to the size.
+    A frozen digest depends on these draws: change nothing here.
+    """
+    size = r * (m + n - r)
+    while True:
+        cells = set()
+        if spread:
+            for i in range(m):
+                cells.update((i, j) for j in rng.sample(range(n), r + 1))
+            for j in range(n):
+                rows = [i for i in range(m) if (i, j) in cells]
+                if len(rows) <= r:
+                    free = [i for i in range(m) if (i, j) not in cells]
+                    cells.update((i, j) for i in rng.sample(free, r + 1 - len(rows)))
+        if len(cells) > size:
+            continue
+        rest = [(i, j) for i in range(m) for j in range(n) if (i, j) not in cells]
+        cells.update(rng.sample(rest, size - len(cells)))
+        cols = [0] * n
+        for i, j in cells:
+            cols[j] |= 1 << i
+        return SupportPattern(m, n, tuple(cols))
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on the detmatroid under test; text output."""
     src = str(Path(detmatroid.__file__).resolve().parents[1])

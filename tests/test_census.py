@@ -13,8 +13,8 @@ from conftest import RELAXED_NONBASE_5X5, make_pattern, run_python
 from detmatroid import (DEFAULT_PRIME, CapacityError, ContractError,
                         SupportPattern, canonical_form, classify_pattern,
                         contains_full_bipartite, enumerate_patterns, is_base,
-                        is_spanning_tree, known_facts_crosscheck,
-                        verify_conjecture)
+                        is_relaxed_slmf, is_spanning_tree,
+                        known_facts_crosscheck, verify_conjecture)
 from detmatroid import census
 from detmatroid.oracle import _rank_ceiling
 
@@ -251,6 +251,25 @@ def test_classify_is_invariant_under_reduction(unpartitionable_base):
     assert row.is_relaxed_rrm and row.has_partition and row.oracle_base
     assert row.consistent
     assert row.witness is not None and "partition" in row.witness
+
+
+def test_certify_scans_rows_only_without_an_input_partition(
+        monkeypatch, fully_reducible_base, unpartitionable_base):
+    # an input partition decides the relaxed stage; the row scan runs only
+    # on a pattern without one, here the base whose reduction partitions
+    calls = []
+
+    def spy(pattern, params):
+        calls.append(pattern)
+        return is_relaxed_slmf(pattern, params)
+
+    monkeypatch.setattr(census, "is_relaxed_slmf", spy)
+    payload = census.certify(fully_reducible_base, 2)
+    assert payload["certified"] and payload["stages"]["partition"]["on"] == "input"
+    assert calls == []
+    payload = census.certify(unpartitionable_base, 2)
+    assert payload["certified"] and payload["stages"]["partition"]["on"] == "reduced"
+    assert calls == [unpartitionable_base]
 
 
 def test_classify_fully_reducible_is_trivially_consistent(fully_reducible_base):

@@ -14,7 +14,8 @@ import pytest
 
 from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
                       RELAXED_NONBASE_5X5, SLMF_6X4_COLUMNS,
-                      UNPARTITIONABLE_BASE_6X5, make_pattern, run_python)
+                      UNPARTITIONABLE_BASE_6X5, draw_base_size, make_pattern,
+                      run_python)
 from detmatroid import (DEFAULT_PRIME, OracleVerdict, ViolationWitness,
                         certificate_from_groups, certify, emit_pattern,
                         partition_search, random_rank_r)
@@ -240,8 +241,9 @@ def _refute_base(pattern, r, p, trials, seed):
 
 
 @pytest.mark.parametrize("columns, m, name, fake, line", [
-    # the oracle certifies a base that the relaxed check rejects
-    (FULLY_REDUCIBLE_BASE_6X5, 6, "is_relaxed_slmf", _reject_relaxed,
+    # the oracle certifies a base that the relaxed check rejects; the row
+    # scan runs only when the input has no partition, as on this pattern
+    (UNPARTITIONABLE_BASE_6X5, 6, "is_relaxed_slmf", _reject_relaxed,
      "necessity contradiction at r=2"),
     # a partition certificate for a pattern the oracle refutes
     (RELAXED_NONBASE_5X5, 5, "partition_search", _reduced_base_certificate,
@@ -257,6 +259,53 @@ def test_certify_contradiction_exits_two(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert "bug" in json.loads(out)
     assert line in err
+
+
+@pytest.mark.parametrize("m, columns, r, message", [
+    # the relaxed scan's refusals come before the partition search, whose
+    # own would read "need 1 <= r < m" and "exceeds the ceiling 24"
+    (25, [range(1, 26)], 1, "m=25 exceeds the subset-scan ceiling 24"),
+    (3, [[1, 2, 3]] * 3, 3, "relaxed check needs r < m, got r=3 m=3"),
+    (3, [[], []], 0, "nu must be a positive integer"),
+], ids=["25-rows", "r-equals-m", "r-zero"])
+def test_certify_refusals_are_named_by_the_relaxed_check(tmp_path, capsys, m,
+                                                         columns, r, message):
+    path = _write_pattern(tmp_path, "p.txt", m, columns)
+    code, out, err = _run(capsys, ["certify", "--pattern", path, "--r", str(r)])
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def _certify_corpus():
+    """150 seeded base-size patterns: squares from 6x6 to 10x10 and tall
+    14x10 ones, two in three with every row and column above r."""
+    rng = random.Random(2323)
+    for m, n, r, count in ((6, 6, 2, 30), (8, 8, 2, 30), (8, 8, 3, 30),
+                           (10, 10, 3, 30), (14, 10, 3, 30)):
+        for k in range(count):
+            yield draw_base_size(rng, m, n, r, k % 3 > 0), r
+
+
+def test_certify_stdout_is_frozen(tmp_path, capsys):
+    # sha256 of each exit code and stdout in turn, pinned while the row scan
+    # still ran on every pattern; the corpus holds an input partition,
+    # relaxed negatives, a partition on the reduction only and oracle bases
+    # with no partition, so reading the relaxed stage off a partition is
+    # checked against the scan on each kind
+    digest, outcomes = hashlib.sha256(), set()
+    path = tmp_path / "p.txt"
+    for seed, (pattern, r) in enumerate(_certify_corpus()):
+        path.write_text(emit_pattern(pattern))
+        code, out, _ = _run(capsys, ["certify", "--pattern", str(path),
+                                     "--r", str(r), "--seed", str(seed)])
+        digest.update(b"%d\n" % code)
+        digest.update(out.encode())
+        stages = json.loads(out)["stages"]
+        outcomes.add((stages["relaxed"]["ok"], stages["partition"]["on"],
+                      stages["oracle"]["verdict"]))
+    assert {(True, "input", "base"), (False, None, "not_base"),
+            (True, "reduced", "base"), (True, None, "base")} <= outcomes
+    assert digest.hexdigest() == (
+        "915ea260529b7a076e0497d90e10e2379d84ef18d5c9f2c20dc83866fd768bdd")
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])

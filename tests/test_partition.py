@@ -9,11 +9,12 @@ import tracemalloc
 
 import pytest
 
-from conftest import REDUCED_BASE_5X5_GROUPS, RELAXED_NONBASE_5X5, make_pattern
+from conftest import (REDUCED_BASE_5X5_GROUPS, RELAXED_NONBASE_5X5,
+                      draw_base_size, make_pattern)
 from detmatroid import (ContractError, ParseError, RelaxedParams,
-                        certificate_from_groups, is_relaxed_slmf, is_slmf,
-                        parse_certificate, partition_search,
-                        validate_certificate)
+                        certificate_from_groups, enumerate_patterns,
+                        is_relaxed_slmf, is_slmf, parse_certificate,
+                        partition_search, validate_certificate)
 
 
 def _partition_r_eq_m_minus_1(pattern):
@@ -120,6 +121,28 @@ def test_hand_partition_builds_valid_certificate(reduced_base):
     for group in cert.groups:
         ok, _ = is_relaxed_slmf(reduced_base, RelaxedParams(1, 2, group))
         assert ok
+
+
+def test_input_partition_implies_relaxed_at_slack_r():
+    # certify reads the relaxed (r,r,m) stage off a partition of the input:
+    # the r group inequalities sum to it.  So on seeded base-size squares
+    # and on every orbit of four census grids, a certificate must meet a
+    # passing row scan; equally, a failing scan must meet no certificate
+    rng = random.Random(22)
+    cases = []
+    for k in range(2000):
+        m, r = rng.randint(6, 12), rng.choice((2, 3))
+        cases.append((draw_base_size(rng, m, m, r, k % 2 == 0), r))
+    for m, n, r in ((5, 5, 2), (5, 6, 2), (6, 5, 3), (6, 6, 2)):
+        cases.extend((p, r) for p in enumerate_patterns(m, n, r))
+    outcomes = set()
+    for p, r in cases:
+        cert = partition_search(p, r)
+        scan = is_relaxed_slmf(p, RelaxedParams(r, r))
+        if cert is not None:
+            assert scan == (True, None), (p.m, p.cols, r)
+        outcomes.add((cert is not None, scan[0]))
+    assert {(True, True), (False, False)} <= outcomes
 
 
 def test_certificate_json_round_trip(reduced_base):
