@@ -21,8 +21,7 @@ from .partition import (PartitionCertificate, certificate_from_groups,
 from .patterns import (Slmf, SupportPattern, drop_column, drop_row,
                        emit_pattern, parse_pattern, reduce_pattern, transpose)
 from .seeding import derive_seed
-from .slmf import (RelaxedParams, ViolationWitness, induce_slmf,
-                   is_relaxed_slmf, is_slmf)
+from .slmf import RelaxedParams, ViolationWitness, is_relaxed_slmf, is_slmf
 
 __version__ = "0.1.0"
 
@@ -55,7 +54,6 @@ __all__ = [
     "drop_row",
     "emit_pattern",
     "enumerate_patterns",
-    "induce_slmf",
     "is_base",
     "is_relaxed_slmf",
     "is_slmf",

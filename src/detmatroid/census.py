@@ -28,7 +28,7 @@ from .partition import partition_search
 from .patterns import (SupportPattern, _bits_of, emit_pattern, reduce_pattern,
                        transpose)
 from .seeding import derive_seed
-from .slmf import RelaxedParams, _check_scan_shape, is_relaxed_slmf
+from .slmf import RelaxedParams, is_relaxed_slmf
 
 ENUM_CELL_CEILING = 36
 CANON_ROW_CEILING = 8
@@ -240,8 +240,7 @@ def certify(pattern: SupportPattern, r: int, prime: int = DEFAULT_PRIME,
     negative), or with "bug" when an oracle base fails the relaxed
     condition or the oracle refutes a partition.
 
-    They run in another order: after the size gate come the row scan's
-    refusals (r < m, m within RELAXED_SCAN_CEILING), then the partition
+    They run in another order: after the size gate comes the partition
     search on the input, and an input partition decides the relaxed stage.
     Each of its r groups passed the relaxed (1,r,m) check when the
     certificate was built, so for every row set I with #I > r
@@ -261,8 +260,7 @@ def certify(pattern: SupportPattern, r: int, prime: int = DEFAULT_PRIME,
     if size != dim:
         payload.update(certified=False, reason="size")
         return payload
-    params = RelaxedParams(r, r)
-    _check_scan_shape(pattern, r)  # the scan's refusals come first
+    params = RelaxedParams(r, r)  # refuses r < 1 by name, before the search
     cert = partition_search(pattern, r)
     relaxed_ok, violation = ((True, None) if cert is not None
                              else is_relaxed_slmf(pattern, params))

@@ -11,13 +11,11 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from .errors import CapacityError, ContractError, ParseError
+from .errors import ContractError, ParseError
 from .patterns import (Slmf, SupportPattern, _cols_of_rows, _indicator_rows,
                        _rows_of)
-from .slmf import (RelaxedParams, _unions_cover_excess, induce_slmf,
-                   is_relaxed_slmf, is_slmf)
-
-PARTITION_ROW_CEILING = 24
+from .slmf import (RelaxedParams, _check_scan_shape, _induce_slmf,
+                   _unions_cover_excess, is_relaxed_slmf, is_slmf)
 
 
 @dataclass(frozen=True)
@@ -71,16 +69,26 @@ def _check_groups(groups, n: int, r: int) -> None:
         raise ContractError("groups must cover columns 1..%d exactly" % n)
 
 
+def _relaxed_group(pattern: SupportPattern, g, r: int) -> SupportPattern:
+    """The sub-pattern of the columns of group g, which _check_groups has
+    passed, in g's order; ContractError unless it is relaxed (1,r,m)."""
+    sub = SupportPattern(pattern.m, len(g), tuple(pattern.cols[j - 1] for j in g))
+    ok, witness = is_relaxed_slmf(sub, RelaxedParams(1, r))
+    if not ok:
+        raise ContractError("group %s is not a relaxed (1,%d,%d)-SLMF: %s"
+                            % (list(g), r, pattern.m, witness.as_dict()))
+    return sub
+
+
 def certificate_from_groups(pattern: SupportPattern, r: int, groups) -> PartitionCertificate:
     """Build and validate a certificate from r column groups.
 
     Groups are checked as given, then sorted internally and ordered by least
-    member; each must be a relaxed (1,r,m)-SLMF (induce_slmf raises
-    otherwise).
+    member; each must be a relaxed (1,r,m)-SLMF.
     """
     _check_groups(groups, pattern.n, r)
     norm = sorted((tuple(sorted(g)) for g in groups), key=lambda g: g[0])
-    induced = tuple(induce_slmf(pattern, g, r) for g in norm)
+    induced = tuple(_induce_slmf(_relaxed_group(pattern, g, r), r) for g in norm)
     return PartitionCertificate(r, tuple(norm), induced)
 
 
@@ -143,12 +151,7 @@ def validate_certificate(pattern: SupportPattern, cert: PartitionCertificate,
     if len(cert.induced) != cert.r:
         raise ContractError("expected %d induced systems" % cert.r)
     for g, phi in zip(cert.groups, cert.induced):
-        ok, witness = is_relaxed_slmf(pattern, RelaxedParams(1, cert.r, g))
-        if not ok:
-            raise ContractError(
-                "group %s is not relaxed (1,%d,%d): %s"
-                % (list(g), cert.r, pattern.m, witness.as_dict())
-            )
+        _relaxed_group(pattern, g, cert.r)
         if phi.m != pattern.m or phi.r != cert.r:
             raise ContractError("induced system shape mismatch")
         ok, bad = is_slmf(phi)
@@ -178,24 +181,25 @@ def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | 
     columns holding it has sum of excesses over S <= #(union) - r, a
     consequence of the relaxed condition; _unions_cover_excess walks those
     sets from the new column.  Memory is polynomial; time is exponential in
-    the group size, under PARTITION_ROW_CEILING.  Only the positive-excess
-    columns, which sort first, are searched: adding a zero-excess column to
-    S raises no excess and shrinks no union bound, and once the last
-    positive-excess column is placed every group is at quota, so the
-    zero-excess columns all join the first group.  The recursion is
+    the group size.  Only the positive-excess columns, which sort first,
+    are searched: adding a zero-excess column to S raises no excess and
+    shrinks no union bound, and once the last positive-excess column is
+    placed every group is at quota, so the zero-excess columns all join
+    the first group.  The recursion is
     therefore at most r(m-r) deep.  At a leaf where every group meets the
     quota, the prune implies the relaxed condition for each group (the worst
     row set is always a union of group columns), so the leaf is a
     certificate; building it re-runs the relaxed check, the same walk over
     all of a group's sets, and a failure there raises.  census.certify reads
-    the relaxed (r,r,m) stage off a certificate, so that check stays.  None
-    means the search was exhaustive and no partition exists.
+    the relaxed (r,r,m) stage off a certificate, so that check stays, and
+    with it the relaxed check's refusals: r < m, and m within
+    RELAXED_SCAN_CEILING.  None means the search was exhaustive and no
+    partition exists.
     """
     m, n = pattern.m, pattern.n
-    if r < 1 or r >= m:
+    if r < 1:
         raise ContractError("need 1 <= r < m, got r=%d m=%d" % (r, m))
-    if m > PARTITION_ROW_CEILING:
-        raise CapacityError("m=%d exceeds the ceiling %d" % (m, PARTITION_ROW_CEILING))
+    _check_scan_shape(pattern, r)
     if pattern.size() != r * (m + n - r):
         warnings.warn(
             "pattern size %d differs from r(m+n-r) = %d; a partition cannot "

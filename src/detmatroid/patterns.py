@@ -188,7 +188,13 @@ def _parse_json(text: str) -> SupportPattern:
 
 
 def emit_pattern(pattern: SupportPattern, fmt: str = "indicator") -> str:
-    """Serialize a pattern; deterministic, round-trips through parse_pattern."""
+    """Serialize a pattern; deterministic.
+
+    The text parses back to the same pattern when m >= 1, and in the
+    indicator format when n >= 1 as well.  parse_pattern refuses the text
+    of an m = 0 pattern in both formats and of an n = 0 one in the
+    indicator format; reduce_pattern can return both shapes.
+    """
     if fmt == "indicator":
         rows = _indicator_rows(pattern.m, pattern.cols)
         return "\n".join(" ".join(map(str, row)) for row in rows) + "\n"

@@ -7,8 +7,7 @@ row subset I with at least r+1 rows
 
     sum_j max(#(omega_j & I) - r, 0)  <=  nu * (#I - r),
 
-with equality at I = [m].  Columns may be restricted to a subset J, in which
-case only those columns contribute to the sums.
+with equality at I = [m].
 
 The covering condition is decided by bipartite matching with surplus: it
 holds iff every column, copied r+1 times, matches with the other columns into
@@ -28,15 +27,11 @@ RELAXED_SCAN_CEILING = 24
 
 @dataclass(frozen=True)
 class RelaxedParams:
-    """Parameters of a relaxed SLMF check.
-
-    nu and r as in the counting condition; restricted_to optionally names the
-    1-based pattern columns that participate (None = all columns).
-    """
+    """Parameters of a relaxed SLMF check: nu and r as in the counting
+    condition."""
 
     nu: int
     r: int
-    restricted_to: tuple[int, ...] | None = None
 
     def __post_init__(self):
         for name in ("nu", "r"):
@@ -69,23 +64,6 @@ class ViolationWitness:
             "rhs": self.rhs,
             "kind": self.kind,
         }
-
-
-def _selected_masks(pattern: SupportPattern, params: RelaxedParams) -> list[int]:
-    if params.restricted_to is None:
-        return list(pattern.cols)
-    seen = set()
-    masks = []
-    for j in params.restricted_to:
-        if (not isinstance(j, int) or isinstance(j, bool)
-                or not 1 <= j <= pattern.n):
-            raise ContractError("restricted_to: column %r out of range 1..%d"
-                                % (j, pattern.n))
-        if j in seen:
-            raise ContractError("restricted_to: duplicate column %d" % j)
-        seen.add(j)
-        masks.append(pattern.cols[j - 1])
-    return masks
 
 
 def _unions_cover_excess(excess_cols: list[tuple[int, int]], r: int,
@@ -219,27 +197,27 @@ def is_relaxed_slmf(
     dimension count of the rank-r matrices on the block IxJ (Kiraly, Theran
     and Tomioka, JMLR 2015).  No J of at most r columns can break it when
     #I >= r+1, since (#I - r)(r - #J) >= 0, so the inequality holds for
-    every I exactly when the transposed pattern, restricted to the selected
-    columns, passes it for every column set J of r+1 or more columns.  When
-    fewer columns are selected than there are rows, that shorter scan runs
-    first, and if it finds nothing the answer comes from the equality at
-    [m] alone: a positive answer at nu = r on a tall pattern comes from the
-    column side.
+    every I exactly when the transposed pattern passes it for every column
+    set J of r+1 or more columns.  When the pattern has fewer columns than
+    rows, that shorter scan runs first, and if it finds nothing the answer
+    comes from the equality at [m] alone: a positive answer at nu = r on a
+    tall pattern comes from the column side.
 
     Every other case, and every negative answer with its witness, comes
     from the row scan of _first_violation, sizes r+1..m in ascending order,
-    so the first violation met is the witness.
+    so the first violation met is the witness.  A tall negative at nu = r
+    therefore pays twice: the column-side scan up to its first violation,
+    then the whole row scan from the start for the least witness, up to
+    about twice the row scan alone on small tall patterns.
     """
     r, nu = params.r, params.nu
     _check_scan_shape(pattern, r)
-    masks = _selected_masks(pattern, params)
-    m, n = pattern.m, len(masks)
+    m, n, masks = pattern.m, pattern.n, pattern.cols
     excess_cols = [(c, c.bit_count() - r) for c in masks if c.bit_count() > r]
     total = sum(e for _, e in excess_cols)
     if nu == 1 and total == m - r and _unions_cover_excess(excess_cols, r):
         return True, None
-    if nu < r or n >= m or _first_violation(
-            transpose(SupportPattern(m, n, tuple(masks))).cols, n, r, nu):
+    if nu < r or n >= m or _first_violation(transpose(pattern).cols, n, r, nu):
         found = _first_violation(masks, m, r, nu)
         if found is not None:
             rows, lhs, rhs = found
@@ -328,32 +306,24 @@ def is_slmf(phi: Slmf) -> tuple[bool, tuple[int, ...] | None]:
     return False, tuple(witness)
 
 
-def induce_slmf(pattern: SupportPattern, group, r: int) -> Slmf:
-    """Build the SLMF induced by a relaxed (1,r,m) column group.
+def _induce_slmf(group: SupportPattern, r: int) -> Slmf:
+    """Build the SLMF induced by a relaxed (1,r,m) group, given as the
+    sub-pattern of its columns in order.
 
-    For each group column with #omega_j > r, fix the r smallest rows as the
-    stem psi_j and emit one SLMF column psi_j | {t} per remaining row t in
+    For each column with #omega_j > r, fix the r smallest rows as the stem
+    psi_j and emit one SLMF column psi_j | {t} per remaining row t in
     ascending order; columns of size <= r contribute nothing.  Output columns
     are ordered by (source column, added row).
 
-    Raises ContractError (its message names the violation) when the group
-    is not relaxed (1,r,m); by the counting identity the construction then
-    yields exactly m-r columns, and the result always passes is_slmf.  On
-    the union I of a nonempty set S of induced columns, each source column
-    holds its r stem rows plus the added row of each of its columns in S,
-    so the excesses on I sum to at least |S|, and the relaxed bound gives
-    |S| <= #I - r.
+    The caller checks that the group is relaxed (1,r,m); by the counting
+    identity the construction then yields exactly m-r columns, and the
+    result always passes is_slmf.  On the union I of a nonempty set S of
+    induced columns, each source column holds its r stem rows plus the added
+    row of each of its columns in S, so the excesses on I sum to at least
+    |S|, and the relaxed bound gives |S| <= #I - r.
     """
-    group = tuple(group)
-    ok, witness = is_relaxed_slmf(pattern, RelaxedParams(1, r, group))
-    if not ok:
-        raise ContractError(
-            "group %s is not a relaxed (1,%d,%d)-SLMF: %s"
-            % (list(group), r, pattern.m, witness.as_dict())
-        )
     cols = []
-    for j in sorted(group):
-        cmask = pattern.cols[j - 1]
+    for cmask in group.cols:
         if cmask.bit_count() <= r:
             continue
         stem, rest = 0, cmask
@@ -363,4 +333,4 @@ def induce_slmf(pattern: SupportPattern, group, r: int) -> Slmf:
         while rest:
             cols.append(stem | (rest & -rest))
             rest &= rest - 1
-    return Slmf(r, pattern.m, tuple(cols))
+    return Slmf(r, group.m, tuple(cols))

@@ -44,6 +44,12 @@ def make_pattern(m: int, columns) -> SupportPattern:
     return SupportPattern.from_columns(m, columns)
 
 
+def group_pattern(pattern: SupportPattern, group) -> SupportPattern:
+    """The sub-pattern of the 1-based columns in group, in group's order."""
+    return SupportPattern(pattern.m, len(group),
+                          tuple(pattern.cols[j - 1] for j in group))
+
+
 def draw_base_size(rng, m: int, n: int, r: int, spread: bool) -> SupportPattern:
     """A seeded random pattern of size r(m+n-r).
 

@@ -16,9 +16,10 @@ from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
                       RELAXED_NONBASE_5X5, SLMF_6X4_COLUMNS,
                       UNPARTITIONABLE_BASE_6X5, draw_base_size, make_pattern,
                       run_python)
-from detmatroid import (DEFAULT_PRIME, OracleVerdict, ViolationWitness,
-                        certificate_from_groups, certify, emit_pattern,
-                        partition_search, random_rank_r)
+from detmatroid import (DEFAULT_PRIME, OracleVerdict, PartitionCertificate,
+                        Slmf, ViolationWitness, certificate_from_groups,
+                        certify, emit_pattern, partition_search,
+                        random_rank_r)
 from detmatroid.oracle import DEFAULT_TRIALS
 from detmatroid import census, cli
 from detmatroid.cli import main
@@ -262,8 +263,8 @@ def test_certify_contradiction_exits_two(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("m, columns, r, message", [
-    # the relaxed scan's refusals come before the partition search, whose
-    # own would read "need 1 <= r < m" and "exceeds the ceiling 24"
+    # the partition search on the input runs first, and refuses through the
+    # relaxed scan's own checks; r = 0 is refused by the relaxed parameters
     (25, [range(1, 26)], 1, "m=25 exceeds the subset-scan ceiling 24"),
     (3, [[1, 2, 3]] * 3, 3, "relaxed check needs r < m, got r=3 m=3"),
     (3, [[], []], 0, "nu must be a positive integer"),
@@ -306,6 +307,52 @@ def test_certify_stdout_is_frozen(tmp_path, capsys):
             (True, "reduced", "base"), (True, None, "base")} <= outcomes
     assert digest.hexdigest() == (
         "915ea260529b7a076e0497d90e10e2379d84ef18d5c9f2c20dc83866fd768bdd")
+
+
+def _certificate_corpus():
+    """Every certificate partition_search finds on 60 seeded base-size
+    patterns, as (pattern, r, certificate, r passed to the CLI) cases: the
+    certificate itself, then three tampered copies, namely a column moved
+    between the first two groups, the first phi's first column swapped for
+    the second phi's, and the certificate checked at rank r+1."""
+    rng = random.Random(2424)
+    for m, n, r, count in ((6, 6, 2, 15), (7, 7, 2, 15), (8, 8, 3, 15),
+                           (9, 9, 3, 15)):
+        for k in range(count):
+            pattern = draw_base_size(rng, m, n, r, k % 3 > 0)
+            cert = partition_search(pattern, r)
+            if cert is None:
+                continue
+            g0, g1 = cert.groups[:2]
+            moved = ((g0[:-1], g1 + g0[-1:]) if len(g0) > 1
+                     else (g0 + g1[-1:], g1[:-1]))
+            phi0, phi1 = cert.induced[:2]
+            swapped = Slmf(r, m, phi1.cols[:1] + phi0.cols[1:])
+            yield pattern, r, cert, r
+            yield pattern, r, PartitionCertificate(
+                r, moved + cert.groups[2:], cert.induced), r
+            yield pattern, r, PartitionCertificate(
+                r, cert.groups, (swapped,) + cert.induced[1:]), r
+            yield pattern, r, cert, r + 1
+
+
+def test_partition_certificate_stdout_is_frozen(tmp_path, capsys):
+    # sha256 of each exit code and stdout in turn, pinned before the
+    # certificate layer's relaxed group check became one routine
+    digest, codes = hashlib.sha256(), []
+    path, cert_path = tmp_path / "p.txt", tmp_path / "cert.json"
+    for pattern, r, cert, r_arg in _certificate_corpus():
+        path.write_text(emit_pattern(pattern))
+        cert_path.write_text(cert.to_json())
+        code, out, _ = _run(capsys, ["partition", "--pattern", str(path),
+                                     "--r", str(r_arg),
+                                     "--certificate", str(cert_path)])
+        digest.update(b"%d\n" % code)
+        digest.update(out.encode())
+        codes.append(code)
+    assert len(codes) == 184 and set(codes) == {0, 2}
+    assert digest.hexdigest() == (
+        "fe0c960a79f6cd7102ae447f04b97909b73ed2da505bb157ae3232b41bd1544f")
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])

@@ -6,12 +6,15 @@ import json
 import random
 import time
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
 from conftest import (REDUCED_BASE_5X5_GROUPS, RELAXED_NONBASE_5X5,
-                      draw_base_size, make_pattern)
-from detmatroid import (ContractError, ParseError, RelaxedParams,
+                      draw_base_size, group_pattern, make_pattern)
+import detmatroid
+from detmatroid import (CapacityError, ContractError, ParseError,
+                        PartitionCertificate, RelaxedParams,
                         certificate_from_groups, enumerate_patterns,
                         is_relaxed_slmf, is_slmf, parse_certificate,
                         partition_search, validate_certificate)
@@ -119,7 +122,8 @@ def test_hand_partition_builds_valid_certificate(reduced_base):
     assert cert.groups == ((1, 3, 4), (2, 5))
     # each group satisfies the single-slack counting condition
     for group in cert.groups:
-        ok, _ = is_relaxed_slmf(reduced_base, RelaxedParams(1, 2, group))
+        ok, _ = is_relaxed_slmf(group_pattern(reduced_base, group),
+                                RelaxedParams(1, 2))
         assert ok
 
 
@@ -220,6 +224,50 @@ def test_validate_certificate_rejects_tampering(reduced_base):
         with pytest.raises(ContractError,
                            match="certificate rank 2 differs from r=%d" % r):
             validate_certificate(reduced_base, cert, r)
+
+
+def test_building_and_validating_reject_a_group_with_one_message(
+        relaxed_nonbase, reduced_base):
+    # one group check under both routes: columns 1..3 of the relaxed
+    # nonbase have excesses summing to m - r = 3, yet two of them hold the
+    # same three rows
+    groups = ((1, 2, 3), (4, 5))
+    with pytest.raises(ContractError) as built:
+        certificate_from_groups(relaxed_nonbase, 2, groups)
+    induced = certificate_from_groups(reduced_base, 2,
+                                      REDUCED_BASE_5X5_GROUPS).induced
+    with pytest.raises(ContractError) as checked:
+        validate_certificate(relaxed_nonbase,
+                             PartitionCertificate(2, groups, induced), 2)
+    assert str(built.value) == str(checked.value)
+    assert str(built.value).startswith(
+        "group [1, 2, 3] is not a relaxed (1,2,5)-SLMF: ")
+
+
+def test_out_of_range_group_index_is_refused_by_the_group_check(reduced_base):
+    # no public route takes column indices past _check_groups: the relaxed
+    # check reads a whole pattern, and the SLMF builder is private
+    assert "induce_slmf" not in detmatroid.__all__
+    assert [f.name for f in fields(RelaxedParams)] == ["nu", "r"]
+    induced = certificate_from_groups(reduced_base, 2,
+                                      REDUCED_BASE_5X5_GROUPS).induced
+    for groups, bad in (([[0, 1], [2, 3, 4, 5]], 0),
+                        ([[1, 3, 4], [2, 5, 6]], 6)):
+        message = r"^column %d is out of range 1\.\.5$" % bad
+        with pytest.raises(ContractError, match=message):
+            certificate_from_groups(reduced_base, 2, groups)
+        cert = PartitionCertificate(2, tuple(map(tuple, groups)), induced)
+        with pytest.raises(ContractError, match=message):
+            validate_certificate(reduced_base, cert, 2)
+
+
+def test_search_refuses_past_the_subset_scan_ceiling():
+    # every leaf runs the relaxed check, so the search has no row ceiling
+    # of its own: 25 rows are refused by the relaxed scan's
+    p = make_pattern(25, [range(1, 26)])
+    with pytest.raises(CapacityError,
+                       match="^m=25 exceeds the subset-scan ceiling 24$"):
+        partition_search(p, 1)
 
 
 def test_same_phi_flag_detection():
@@ -371,7 +419,7 @@ def test_search_matches_brute_force_labelling():
             p = make_pattern(m, [sorted(rng.sample(range(1, m + 1), s))
                                  for s in sizes])
             exists = any(
-                all(is_relaxed_slmf(p, RelaxedParams(1, r, g))[0]
+                all(is_relaxed_slmf(group_pattern(p, g), RelaxedParams(1, r))[0]
                     for g in groups)
                 for groups in _labellings(n, r)
             )

@@ -60,6 +60,24 @@ def test_json_round_trip():
     assert parse_pattern(text) == p
 
 
+def test_empty_shapes_print_text_that_does_not_parse_back():
+    # a base can reduce to a 0-row pattern: FULLY_REDUCIBLE_BASE_6X5 at
+    # r = 2 reduces to 0x2; no rows, or no columns in the indicator
+    # format, print text the parser refuses
+    reduced, _ = reduce_pattern(make_pattern(6, FULLY_REDUCIBLE_BASE_6X5), 2)
+    assert (reduced.m, reduced.n) == (0, 2)
+    for p, fmt, message in [
+            (reduced, "indicator", "empty pattern text"),
+            (reduced, "json", "field 'm': expected a positive integer"),
+            (SupportPattern(0, 0, ()), "json", "field 'm'"),
+            (SupportPattern(3, 0, ()), "indicator", "empty pattern text")]:
+        with pytest.raises(ParseError, match=message):
+            parse_pattern(emit_pattern(p, fmt))
+    # the one shape that keeps its round trip: rows but no columns, in JSON
+    p = SupportPattern(3, 0, ())
+    assert parse_pattern(emit_pattern(p, "json")) == p
+
+
 def test_parse_indicator_errors_name_the_line():
     with pytest.raises(ParseError, match="line 2"):
         parse_pattern("1 0\n1\n")

@@ -8,13 +8,13 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import REDUCED_BASE_5X5, REDUCED_BASE_5X5_GROUPS, make_pattern
+from conftest import (REDUCED_BASE_5X5, REDUCED_BASE_5X5_GROUPS,
+                      group_pattern, make_pattern)
 from detmatroid import (CapacityError, ContractError, RelaxedParams, Slmf,
                         SupportPattern, ViolationWitness, enumerate_patterns,
-                        induce_slmf, is_relaxed_slmf, is_slmf,
-                        partition_search)
+                        is_relaxed_slmf, is_slmf, partition_search)
 from detmatroid import slmf
-from detmatroid.slmf import _unions_cover_excess
+from detmatroid.slmf import _induce_slmf, _unions_cover_excess
 from slmf_matching import MATCHING_ROW_SET_CEILING, is_slmf_via_matching
 
 
@@ -24,11 +24,7 @@ def _is_relaxed_slmf_by_scan(pattern, params):
     Builds each row mask and sums the column excesses one column at a time;
     the first violation in (size, combinations order) is the witness.
     """
-    r, nu, m = params.r, params.nu, pattern.m
-    if params.restricted_to is None:
-        masks = list(pattern.cols)
-    else:
-        masks = [pattern.cols[j - 1] for j in params.restricted_to]
+    r, nu, m, masks = params.r, params.nu, pattern.m, pattern.cols
     for k in range(r + 1, m + 1):
         rhs = nu * (k - r)
         for rows in combinations(range(m), k):
@@ -71,14 +67,12 @@ def test_relaxed_params_validation():
         RelaxedParams(4, 3)
 
 
-def test_bools_are_not_relaxed_parameters(reduced_base):
-    # True == 1, but a bool is not a slack, a rank or a column index
+def test_bools_are_not_relaxed_parameters():
+    # True == 1, but a bool is not a slack or a rank
     with pytest.raises(ContractError, match="nu must be a positive integer"):
         RelaxedParams(True, 2)
     with pytest.raises(ContractError, match="r must be a positive integer"):
         RelaxedParams(1, True)
-    with pytest.raises(ContractError, match="column True out of range"):
-        is_relaxed_slmf(reduced_base, RelaxedParams(1, 2, (True, 3, 4)))
 
 
 def test_relaxed_positive_fixtures(unpartitionable_base, reduced_base,
@@ -239,7 +233,7 @@ def test_cycle_negative_is_witnessed_at_once():
 
 def test_induce_slmf_from_valid_groups(reduced_base):
     for group in REDUCED_BASE_5X5_GROUPS:
-        phi = induce_slmf(reduced_base, group, 2)
+        phi = _induce_slmf(group_pattern(reduced_base, group), 2)
         assert is_slmf(phi) == (True, None)
         assert len(phi.columns) == reduced_base.m - 2
         # every induced column comes from a column support in the group
@@ -249,7 +243,7 @@ def test_induce_slmf_from_valid_groups(reduced_base):
 
 
 def test_induced_systems_always_pass_is_slmf():
-    # induce_slmf does not re-check its output; this is the guarantee its
+    # _induce_slmf does not re-check its output; this is the guarantee its
     # docstring proves, over random relaxed (1,r,m) groups and over every
     # certificate group of the census grids
     rng = random.Random(41)
@@ -266,23 +260,18 @@ def test_induced_systems_always_pass_is_slmf():
         sizes += [rng.randint(1, r) for _ in range(rng.randint(0, 2))]
         cols = [sorted(rng.sample(range(1, m + 1), k)) for k in sizes]
         pattern = make_pattern(m, cols)
-        group = tuple(range(1, len(cols) + 1))
-        if is_relaxed_slmf(pattern, RelaxedParams(1, r, group))[0]:
-            induced.append(induce_slmf(pattern, group, r))
+        if is_relaxed_slmf(pattern, RelaxedParams(1, r))[0]:
+            induced.append(_induce_slmf(pattern, r))
     for m, n, r in ((5, 5, 2), (5, 6, 2), (6, 5, 3), (6, 4, 2), (4, 4, 2)):
         for pattern in enumerate_patterns(m, n, r):
             cert = partition_search(pattern, r)
             if cert is not None:
-                induced += [induce_slmf(pattern, g, r) for g in cert.groups]
+                induced += [_induce_slmf(group_pattern(pattern, g), r)
+                            for g in cert.groups]
     assert len(induced) > 320
     for phi in induced:
         assert len(phi.cols) == phi.m - phi.r
         assert is_slmf(phi) == (True, None)
-
-
-def test_induce_slmf_rejects_non_relaxed_group(relaxed_nonbase):
-    with pytest.raises(ContractError):
-        induce_slmf(relaxed_nonbase, [1, 2, 3], 2)
 
 
 def _check_against_scan(pattern, params):
@@ -314,9 +303,9 @@ def test_relaxed_check_matches_scan_reference():
         pattern = SupportPattern.from_columns(m, _random_columns(rng, m, sizes))
         for nu in range(1, r + 1):
             group = tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
-            for restricted in (None, group):
-                ok, witness = _check_against_scan(
-                    pattern, RelaxedParams(nu, r, restricted))
+            for checked in (pattern, group_pattern(pattern, group)):
+                ok, witness = _check_against_scan(checked,
+                                                  RelaxedParams(nu, r))
                 kinds.add("relaxed" if ok else witness.kind)
     assert kinds == {"relaxed", "inequality_violated",
                      "equality_failed_at_full_set"}
@@ -334,7 +323,8 @@ def test_relaxed_check_matches_scan_reference_at_16x16():
     assert is_relaxed_slmf(pattern, RelaxedParams(r, r)) == (True, None)
     for nu in range(1, r):
         assert not _check_against_scan(pattern, RelaxedParams(nu, r))[0]
-    assert not _check_against_scan(pattern, RelaxedParams(1, r, (1, 5, 9, 13)))[0]
+    assert not _check_against_scan(group_pattern(pattern, (1, 5, 9, 13)),
+                                   RelaxedParams(1, r))[0]
 
 
 def test_relaxed_nu1_column_route_matches_scan_reference():
@@ -356,7 +346,8 @@ def test_relaxed_nu1_column_route_matches_scan_reference():
         pattern = SupportPattern.from_columns(m, _random_columns(rng, m, sizes))
         group = list(range(1, len(sizes) + 1))
         rng.shuffle(group)
-        ok, _ = _check_against_scan(pattern, RelaxedParams(1, r, tuple(group)))
+        ok, _ = _check_against_scan(group_pattern(pattern, group),
+                                    RelaxedParams(1, r))
         outcomes.add(ok)
         if sum(max(s - r, 0) for s in sizes) == m - r:
             quota_outcomes.add(ok)
@@ -449,10 +440,9 @@ def test_relaxed_tall_patterns_at_nu_r_match_scan_reference():
             sizes = [rng.randint(0, m) for _ in range(n)]
         pattern = SupportPattern.from_columns(m, _random_columns(rng, m, sizes))
         group = tuple(rng.sample(range(1, n + 1), rng.randint(1, n)))
-        for restricted in (None, group):
-            ok, witness = _check_against_scan(pattern,
-                                              RelaxedParams(r, r, restricted))
-            kinds.add(("relaxed" if ok else witness.kind, restricted is None))
+        for checked in (pattern, group_pattern(pattern, group)):
+            ok, witness = _check_against_scan(checked, RelaxedParams(r, r))
+            kinds.add(("relaxed" if ok else witness.kind, checked is pattern))
     assert kinds == {(kind, whole) for whole in (True, False)
                      for kind in ("relaxed", "inequality_violated",
                                   "equality_failed_at_full_set")}
