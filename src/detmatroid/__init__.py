@@ -14,7 +14,7 @@ from .errors import (CapacityError, ContractError, DetmatroidError,
                      GenericityError, ParseError)
 from .fields import DEFAULT_PRIME, PrimeField, Rationals, prev_prime
 from .grassmann import complete_matrix
-from .oracle import OracleVerdict, is_base, jacobian_rank, random_rank_r
+from .oracle import OracleVerdict, is_base, jacobian_rank
 from .partition import (PartitionCertificate, certificate_from_groups,
                         parse_certificate, partition_search,
                         validate_certificate)
@@ -64,7 +64,6 @@ __all__ = [
     "parse_pattern",
     "partition_search",
     "prev_prime",
-    "random_rank_r",
     "reduce_pattern",
     "transpose",
     "validate_certificate",

@@ -252,6 +252,7 @@ def certify(pattern: SupportPattern, r: int, prime: int = DEFAULT_PRIME,
     relaxed (r,r,m) condition.  The row scan runs only when the input has
     no partition.
     """
+    params = RelaxedParams(r, r)  # refuses r < 1 by name, before any stage
     m, n = pattern.m, pattern.n
     size = pattern.size()
     dim = r * (m + n - r)
@@ -260,7 +261,6 @@ def certify(pattern: SupportPattern, r: int, prime: int = DEFAULT_PRIME,
     if size != dim:
         payload.update(certified=False, reason="size")
         return payload
-    params = RelaxedParams(r, r)  # refuses r < 1 by name, before the search
     cert = partition_search(pattern, r)
     relaxed_ok, violation = ((True, None) if cert is not None
                              else is_relaxed_slmf(pattern, params))

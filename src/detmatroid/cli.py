@@ -122,7 +122,7 @@ def cmd_complete(args) -> int:
     matrix = complete_matrix(pattern, args.r, cert, observed, field)
     out = csv.writer(sys.stdout, lineterminator="\n")
     for row in matrix:
-        out.writerow([field.to_str(x) for x in row])
+        out.writerow([str(x) for x in row])
     return 0
 
 

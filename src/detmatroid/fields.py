@@ -1,15 +1,15 @@
 """Exact coefficient fields: prime fields GF(p) and the rationals.
 
-Both back ends expose the same small protocol (zero/one constants, arithmetic,
-the elimination row update sub_scaled, inverse, random sampling, parsing) so
-the linear algebra and completion code is generic.  GF(p) elements are plain
-ints in [0, p); rational elements are fractions.Fraction.  Floating point is
-deliberately not offered.
+Both back ends expose the same small protocol, so the linear algebra and
+completion code is generic: the constants zero and one, add, mul, neg, inv,
+the elimination row update sub_scaled and parse.  GF(p) elements are plain
+ints in [0, p); rational elements are fractions.Fraction, and str() prints
+either back in the form parse reads.  Floating point is deliberately not
+offered.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -72,14 +72,8 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def of(self, a: int) -> int:
-        return a % self.p
-
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return a * b % self.p
@@ -101,17 +95,11 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.p)
         return pow(a, -1, self.p)
 
-    def rand(self, rng: random.Random):
-        return rng.randrange(self.p)
-
     def parse(self, text: str):
         try:
             return int(text, 10) % self.p
         except ValueError:
             raise ContractError("not a GF(p) integer literal: %r" % text) from None
-
-    def to_str(self, a) -> str:
-        return str(a)
 
     def __repr__(self):
         return "PrimeField(%d)" % self.p
@@ -123,14 +111,8 @@ class Rationals:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def of(self, a) -> Fraction:
-        return Fraction(a)
-
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -150,18 +132,11 @@ class Rationals:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 
-    def rand(self, rng: random.Random) -> Fraction:
-        # small numerators/denominators keep exact arithmetic cheap
-        return Fraction(rng.randrange(-99, 100), rng.randrange(1, 20))
-
     def parse(self, text: str) -> Fraction:
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError):
             raise ContractError("not a rational literal: %r" % text) from None
-
-    def to_str(self, a) -> str:
-        return str(a)
 
     def __repr__(self):
         return "Rationals()"

@@ -11,28 +11,6 @@ packed GF(p) kernel, _eliminate_mod_p: one int per row.
 from __future__ import annotations
 
 
-def random_matrix(rows: int, cols: int, field, rng) -> list[list]:
-    return [[field.rand(rng) for _ in range(cols)] for _ in range(rows)]
-
-
-def mat_mul(a: list[list], b: list[list], field) -> list[list]:
-    if not a or not b:
-        return [[] for _ in a]
-    n = len(b)
-    cols = len(b[0])
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = field.zero
-            for k in range(n):
-                acc = field.add(acc, field.mul(row[k], col[k]))
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
 def mat_vec(a: list[list], x: list, field) -> list:
     out = []
     for row in a:
@@ -190,7 +168,3 @@ def det(a: list[list], field):
     for k in range(len(a)):
         acc = field.mul(acc, m[k][k])
     return field.neg(acc) if swaps % 2 else acc
-
-
-def submatrix(a: list[list], row_idx, col_idx) -> list[list]:
-    return [[a[i][j] for j in col_idx] for i in row_idx]

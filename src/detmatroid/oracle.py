@@ -13,57 +13,16 @@ independent set of size r(m+n-r), the dimension of the rank-<=r variety.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import CapacityError, ContractError
+from .errors import ContractError
 from .fields import DEFAULT_PRIME, PrimeField
 from .patterns import SupportPattern, transpose
 from .seeding import derive_seed
 
 DEFAULT_TRIALS = 3
-_PROJECTION_CHECK_CEILING = 100_000
-_RESAMPLE_ATTEMPTS = 200
-
-
-def random_rank_r(m: int, n: int, r: int, p: int = DEFAULT_PRIME,
-                  seed: int = 0) -> list[list[int]]:
-    """Random X = L*R of rank exactly r over GF(p), generic column space,
-    as rows of residues in [0, p).
-
-    Resamples until rank(X) = r and every projection of the column space onto
-    r coordinates is full-rank (equivalently all r-row minors of L are
-    nonzero), which completion relies on.  r = 0 gives the zero matrix.
-    """
-    if not 0 <= r <= min(m, n):
-        raise ContractError("need 0 <= r <= min(m,n), got r=%d" % r)
-    field = PrimeField(p)
-    if r == 0:
-        return [[0] * n for _ in range(m)]
-    if p < 2 * r:
-        raise ContractError("p=%d too small for rank %d sampling" % (p, r))
-    if math.comb(m, r) > _PROJECTION_CHECK_CEILING:
-        raise CapacityError("C(%d,%d) projection checks exceed the ceiling" % (m, r))
-    rng = random.Random(seed)
-    from itertools import combinations
-
-    for _ in range(_RESAMPLE_ATTEMPTS):
-        left = linalg.random_matrix(m, r, field, rng)
-        ok = True
-        for rows in combinations(range(m), r):
-            if linalg.det(linalg.submatrix(left, rows, range(r)), field) == 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        right = linalg.random_matrix(r, n, field, rng)
-        if linalg.rank(right, field) != r:
-            continue
-        return linalg.mat_mul(left, right, field)
-    raise ContractError("could not sample a generic rank-%d matrix over GF(%d)"
-                        % (r, p))
 
 
 def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
@@ -97,7 +56,8 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     two products meet in a slot).  Nothing is reduced between the stages:
     a block slot takes r updates from below p and a Schur slot at most
     width from below p^2, so w = linalg._slot_width(p, r + width).  L and
-    R are drawn as linalg.random_matrix draws them, L first.
+    R are drawn entry by entry, row by row and L first, as the dense
+    reference in the tests draws them.
     """
     if r < 0:
         raise ContractError("r must be >= 0")

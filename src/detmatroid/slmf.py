@@ -34,7 +34,7 @@ class RelaxedParams:
     r: int
 
     def __post_init__(self):
-        for name in ("nu", "r"):
+        for name in ("r", "nu"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ContractError("%s must be a positive integer" % name)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from dense import submatrix
 from detmatroid import CapacityError, ContractError, GenericityError, Slmf
 from detmatroid import linalg
 
@@ -71,7 +72,7 @@ def plucker_from_basis(basis: list[list], field) -> PluckerVector:
     coords = {}
     for rows in combinations(range(m), r):
         key = tuple(i + 1 for i in rows)
-        coords[key] = linalg.det(linalg.submatrix(basis, rows, range(r)), field)
+        coords[key] = linalg.det(submatrix(basis, rows, range(r)), field)
     return PluckerVector(r, m, coords, field)
 
 

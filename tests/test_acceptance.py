@@ -15,11 +15,12 @@ import detmatroid
 from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
                       SLMF_6X4_COLUMNS, TRIPLES_BASE_6X8,
                       UNPARTITIONABLE_BASE_6X5, make_pattern)
+from dense import random_matrix, random_rank_r
 from detmatroid import (DEFAULT_PRIME, GenericityError, PrimeField,
                         RelaxedParams, Slmf, certificate_from_groups,
                         complete_matrix, emit_pattern, is_base,
                         is_relaxed_slmf, is_slmf, known_facts_crosscheck,
-                        partition_search, random_rank_r, reduce_pattern,
+                        partition_search, reduce_pattern,
                         validate_certificate, verify_conjecture)
 from detmatroid.cli import main
 from plucker import p_phi, plucker_from_basis
@@ -48,12 +49,12 @@ def test_criterion_02_section_product_identity_constant_sign():
     signs = set()
     for seed in range(100):
         rng = random.Random(seed)
-        basis = [[f.rand(rng) for _ in range(2)] for _ in range(6)]
+        basis = random_matrix(6, 2, f, rng)
         pl = plucker_from_basis(basis, f)
         prod = f.mul(f.mul(pl[(1, 2)], pl[(2, 4)]), pl[(1, 5)])
         val = p_phi(phi, pl)
-        if prod == f.of(0):
-            assert val == f.of(0)
+        if prod == f.zero:
+            assert val == f.zero
             continue
         if val == prod:
             signs.add(1)

@@ -16,10 +16,10 @@ from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
                       RELAXED_NONBASE_5X5, SLMF_6X4_COLUMNS,
                       UNPARTITIONABLE_BASE_6X5, draw_base_size, make_pattern,
                       run_python)
+from dense import random_rank_r
 from detmatroid import (DEFAULT_PRIME, OracleVerdict, PartitionCertificate,
                         Slmf, ViolationWitness, certificate_from_groups,
-                        certify, emit_pattern, partition_search,
-                        random_rank_r)
+                        certify, emit_pattern, partition_search)
 from detmatroid.oracle import DEFAULT_TRIALS
 from detmatroid import census, cli
 from detmatroid.cli import main
@@ -262,17 +262,26 @@ def test_certify_contradiction_exits_two(tmp_path, capsys, monkeypatch,
     assert line in err
 
 
-@pytest.mark.parametrize("m, columns, r, message", [
+@pytest.mark.parametrize("command, m, columns, r, message", [
     # the partition search on the input runs first, and refuses through the
-    # relaxed scan's own checks; r = 0 is refused by the relaxed parameters
-    (25, [range(1, 26)], 1, "m=25 exceeds the subset-scan ceiling 24"),
-    (3, [[1, 2, 3]] * 3, 3, "relaxed check needs r < m, got r=3 m=3"),
-    (3, [[], []], 0, "nu must be a positive integer"),
-], ids=["25-rows", "r-equals-m", "r-zero"])
-def test_certify_refusals_are_named_by_the_relaxed_check(tmp_path, capsys, m,
-                                                         columns, r, message):
+    # relaxed scan's own checks; r < 1 is refused by the relaxed parameters
+    # before the size gate, which would answer a nonempty pattern with "size"
+    ("certify", 25, [range(1, 26)], 1,
+     "m=25 exceeds the subset-scan ceiling 24"),
+    ("certify", 3, [[1, 2, 3]] * 3, 3,
+     "relaxed check needs r < m, got r=3 m=3"),
+    ("certify", 3, [[], []], 0, "r must be a positive integer"),
+    ("certify", 3, [[1, 2], [2, 3]], 0, "r must be a positive integer"),
+    ("certify", 3, [[1, 2], [2, 3]], -1, "r must be a positive integer"),
+    # nu defaults to r, so both are out of range; r is the cause
+    ("check-relaxed", 3, [[1, 2], [2, 3]], 0, "r must be a positive integer"),
+], ids=["25-rows", "r-equals-m", "r-zero", "r-zero-nonempty", "r-negative",
+        "check-relaxed-r-zero"])
+def test_certify_refusals_are_named_by_the_relaxed_check(tmp_path, capsys,
+                                                         command, m, columns,
+                                                         r, message):
     path = _write_pattern(tmp_path, "p.txt", m, columns)
-    code, out, err = _run(capsys, ["certify", "--pattern", path, "--r", str(r)])
+    code, out, err = _run(capsys, [command, "--pattern", path, "--r", str(r)])
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
@@ -473,6 +482,48 @@ def test_complete_degenerate_observations_exit_one(tmp_path, capsys):
     # rank-1 data: stage 1 refuses on the first certificate column
     assert err == ("not generic: observed columns containing [1, 2, 4] do not "
                    "span an r-space (phi=[1, 2, 4])\n")
+
+
+def _complete_corpus():
+    """Observed data on FULLY_REDUCIBLE_BASE_6X5 at r = 2, with extra argv:
+    generic rank-2 data over GF(2^31 - 1) at seeds 0..19, rank-2 data with
+    non-integer fractions under --rationals at seeds 0..7, drawn as in
+    test_complete_over_rationals, and rank-1 data, which stage 1 refuses."""
+    for seed in range(20):
+        yield random_rank_r(6, 5, 2, seed=seed), []
+    for seed in range(8):
+        rng = random.Random(seed)
+        left = [[Fraction(rng.randrange(1, 50)) for _ in range(2)]
+                for _ in range(6)]
+        right = [[Fraction(rng.randrange(1, 50), rng.randrange(1, 9))
+                  for _ in range(5)] for _ in range(2)]
+        yield [[sum(left[i][k] * right[k][j] for k in range(2))
+                for j in range(5)] for i in range(6)], ["--rationals"]
+    for seed in (6, 7):
+        yield random_rank_r(6, 5, 1, seed=seed), []
+
+
+def test_complete_stdout_is_frozen(tmp_path, capsys):
+    # sha256 of each exit code and stdout in turn, pinned while the field
+    # printed its elements through to_str and the library drew the data
+    pattern = make_pattern(6, FULLY_REDUCIBLE_BASE_6X5)
+    ppath, cpath = tmp_path / "pattern.txt", tmp_path / "cert.json"
+    ppath.write_text(emit_pattern(pattern))
+    cpath.write_text(partition_search(pattern, 2).to_json())
+    opath = tmp_path / "obs.csv"
+    digest, codes = hashlib.sha256(), []
+    for x, extra in _complete_corpus():
+        opath.write_text("".join("%d,%d,%s\n" % (i, j, x[i - 1][j - 1])
+                                 for (i, j) in pattern.cells()))
+        code, out, _ = _run(capsys, ["complete", "--pattern", str(ppath),
+                                     "--r", "2", "--certificate", str(cpath),
+                                     "--observations", str(opath)] + extra)
+        digest.update(b"%d\n" % code)
+        digest.update(out.encode())
+        codes.append(code)
+    assert codes == [0] * 28 + [1] * 2
+    assert digest.hexdigest() == (
+        "ebdb252cbe957fe200983f6cf606e2246d6244b18f32ec69a9e7e8ec43b89629")
 
 
 def test_complete_takes_prime_but_refuses_trials(tmp_path, capsys):

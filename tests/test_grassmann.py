@@ -4,27 +4,29 @@ plucker.py), and unique completion."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from conftest import FULLY_REDUCIBLE_BASE_6X5, make_pattern, mat_transpose
+from dense import mat_mul, random_matrix, random_rank_r
 from detmatroid import (ContractError, DEFAULT_PRIME, GenericityError,
                         PrimeField, Rationals, complete_matrix,
-                        enumerate_patterns, partition_search, random_rank_r)
-from detmatroid.linalg import mat_mul, mat_vec, rank
+                        enumerate_patterns, partition_search)
+from detmatroid.linalg import mat_vec, rank
 from plucker import p_phi, plucker_from_basis, section_form, sparse_perp
 
 
 def _random_basis(m, r, field, rng):
     while True:
-        basis = [[field.rand(rng) for _ in range(r)] for _ in range(m)]
+        basis = random_matrix(m, r, field, rng)
         if rank([row[:] for row in basis], field) == r:
             return basis
 
 
 def _det2(a, b, c, d, field):
-    return field.sub(field.mul(a, d), field.mul(b, c))
+    return field.add(field.mul(a, d), field.neg(field.mul(b, c)))
 
 
 def test_plucker_coordinates_are_the_r_minors():
@@ -43,7 +45,7 @@ def test_plucker_scales_by_determinant_under_change_of_basis():
     field = Rationals()
     rng = random.Random(32)
     basis = _random_basis(4, 2, field, rng)
-    t = [[field.of(2), field.of(3)], [field.of(1), field.of(5)]]
+    t = [[Fraction(2), Fraction(3)], [Fraction(1), Fraction(5)]]
     changed = mat_mul(basis, t, field)
     pl1 = plucker_from_basis(basis, field)
     pl2 = plucker_from_basis(changed, field)
@@ -129,8 +131,8 @@ def test_completion_round_trip_over_rationals():
     field = Rationals()
     cert = partition_search(pattern, 2)
     rng = random.Random(36)
-    left = [[field.rand(rng) for _ in range(2)] for _ in range(6)]
-    right = [[field.rand(rng) for _ in range(5)] for _ in range(2)]
+    left = random_matrix(6, 2, field, rng)
+    right = random_matrix(2, 5, field, rng)
     x = mat_mul(left, right, field)
     observed = {(i, j): x[i - 1][j - 1] for (i, j) in pattern.cells()}
     assert complete_matrix(pattern, 2, cert, observed, field) == x

@@ -7,10 +7,10 @@ import random
 from fractions import Fraction
 
 from conftest import mat_transpose
+from dense import mat_mul, random_matrix, sample, submatrix
 from detmatroid import DEFAULT_PRIME, PrimeField, Rationals
-from detmatroid.linalg import (_eliminate, _eliminate_mod_p, det, mat_mul,
-                               mat_vec, rank, right_kernel, rref, solve_unique,
-                               submatrix)
+from detmatroid.linalg import (_eliminate, _eliminate_mod_p, det, mat_vec,
+                               rank, right_kernel, rref, solve_unique)
 
 
 def _det_leibniz(a, field):
@@ -40,16 +40,12 @@ def _rank_brute(a, field):
     return 0
 
 
-def _random_matrix(rows, cols, field, rng):
-    return [[field.rand(rng) for _ in range(cols)] for _ in range(rows)]
-
-
 def test_rank_matches_brute_force():
     rng = random.Random(3)
     for field in (PrimeField(7), Rationals()):
         for _ in range(60):
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-            a = _random_matrix(rows, cols, field, rng)
+            a = random_matrix(rows, cols, field, rng)
             copy = [row[:] for row in a]
             assert rank(a, field) == _rank_brute(a, field)
             assert a == copy
@@ -149,16 +145,16 @@ def test_det_matches_leibniz_and_rules():
     for field in (f, Rationals()):
         for n in range(1, 5):
             for _ in range(20):
-                a = _random_matrix(n, n, field, rng)
+                a = random_matrix(n, n, field, rng)
                 assert det([r[:] for r in a], field) == _det_leibniz(a, field)
             # rank-deficient L*R: elimination runs out of pivots
             for k in range(1, n):
-                a = mat_mul(_random_matrix(n, k, field, rng),
-                            _random_matrix(k, n, field, rng), field)
+                a = mat_mul(random_matrix(n, k, field, rng),
+                            random_matrix(k, n, field, rng), field)
                 assert _det_leibniz(a, field) == field.zero
                 assert det([r[:] for r in a], field) == field.zero
-    a = _random_matrix(3, 3, f, rng)
-    b = _random_matrix(3, 3, f, rng)
+    a = random_matrix(3, 3, f, rng)
+    b = random_matrix(3, 3, f, rng)
     assert det(mat_mul(a, b, f), f) == f.mul(det([r[:] for r in a], f),
                                              det([r[:] for r in b], f))
     assert det([], f) == f.one
@@ -172,7 +168,7 @@ def test_rref_pivots_are_unit_columns():
     rng = random.Random(5)
     for f in (PrimeField(11), Rationals()):
         for _ in range(40):
-            a = _random_matrix(rng.randint(1, 5), rng.randint(1, 5), f, rng)
+            a = random_matrix(rng.randint(1, 5), rng.randint(1, 5), f, rng)
             red, pivots = rref([r[:] for r in a], f)
             for k, pc in enumerate(pivots):
                 col = [red[i][pc] for i in range(len(red))]
@@ -188,7 +184,7 @@ def test_right_kernel_annihilates_and_spans():
     for field in (PrimeField(13), Rationals()):
         for _ in range(40):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-            a = _random_matrix(rows, cols, field, rng)
+            a = random_matrix(rows, cols, field, rng)
             basis = right_kernel([r[:] for r in a], cols, field)
             r = rank([r[:] for r in a], field)
             assert len(basis) == cols - r
@@ -203,10 +199,10 @@ def test_solve_unique_square_and_degenerate_cases():
     f = Rationals()
     for _ in range(30):
         n = rng.randint(1, 4)
-        a = _random_matrix(n, n, f, rng)
+        a = random_matrix(n, n, f, rng)
         if rank([r[:] for r in a], f) < n:
             continue
-        x = [f.rand(rng) for _ in range(n)]
+        x = [sample(f, rng) for _ in range(n)]
         b = mat_vec(a, x, f)
         assert solve_unique([r[:] for r in a], b[:], f) == x
     # underdetermined: one equation, two unknowns
