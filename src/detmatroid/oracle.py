@@ -25,6 +25,21 @@ from .seeding import derive_seed
 DEFAULT_TRIALS = 3
 
 
+def _draws(seed: int, p: int, count: int) -> list[int]:
+    """The next count values of random.Random(seed).randrange(p), drawn
+    without its per-call overhead: getrandbits(bitlen(p)), again while the
+    value is not below p, which is the rule randrange follows."""
+    bits = random.Random(seed).getrandbits
+    k = p.bit_length()
+    out = []
+    for _ in range(count):
+        v = bits(k)
+        while v >= p:
+            v = bits(k)
+        out.append(v)
+    return out
+
+
 def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
                   seed: int = 0) -> int:
     """Rank of the Jacobian J of the observed entries of L*R at random (L, R).
@@ -50,24 +65,27 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     eliminating r slots counts rank A_i and leaves each y in the unit
     slots.  These rows depend only on the support of block i, so blocks
     with the same support are eliminated once, in order of first
-    appearance.  y's Schur row for block i is the sum of (y_j mod p) *
-    L[i,:] packed at the Schur slots of column j: the packed L[i,:] times
-    one packed vector of the y_j mod p, shared by the support's blocks (no
-    two products meet in a slot).  Nothing is reduced between the stages:
+    appearance.  A support inside P is not eliminated at all: its R
+    columns are independent, so the block has full rank |support| and no
+    left-kernel vector.  y's Schur row for block i is the sum of
+    (y_j mod p) * L[i,:] packed at the Schur slots of column j: the packed
+    L[i,:] times one packed vector of the y_j mod p, shared by the
+    support's blocks (no two products meet in a slot).  Nothing is reduced between the stages:
     a block slot takes r updates from below p and a Schur slot at most
     width from below p^2, so w = linalg._slot_width(p, r + width).  L and
     R are drawn entry by entry, row by row and L first, as the dense
-    reference in the tests draws them.
+    reference in the tests draws them with randrange; _draws gives the
+    same values through getrandbits.
     """
     if r < 0:
         raise ContractError("r must be >= 0")
+    PrimeField(p)  # refuses a p that is not prime
     if r == 0 or pattern.size() == 0:
         return 0
     m, n = pattern.m, pattern.n
-    PrimeField(p)  # refuses a p that is not prime
-    draw = random.Random(seed).randrange
-    left = [[draw(p) for _ in range(r)] for _ in range(m)]
-    right = [[draw(p) for _ in range(n)] for _ in range(r)]
+    draws = _draws(seed, p, r * (m + n))
+    left = [draws[r * i:r * i + r] for i in range(m)]
+    right = [draws[r * m + n * k:r * m + n * k + n] for k in range(r)]
     if n > m:
         left, right = list(zip(*right)), list(zip(*left))
         supports = pattern.cols
@@ -80,11 +98,11 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
             groups.setdefault(support, []).append(i)
     kernel, slot_width = linalg._eliminate_mod_p, linalg._slot_width
     w = slot_width(p, n)
-    gauge = set(kernel([sum(v << w * j for j, v in enumerate(row))
-                        for row in right], n, p, w)[0])
+    rows = [sum(v << w * j for j, v in enumerate(row)) for row in right]
+    gauge = sum(1 << j for j in kernel(rows, n, p, w)[0])
     slot, width = [-1] * n, 0
     for j in range(n):
-        if j not in gauge:
+        if not gauge >> j & 1:
             slot[j], width = width, width + r
     w = slot_width(p, r + width)
     mask = (1 << w) - 1
@@ -92,6 +110,9 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
              for col in zip(*right)]
     total, schur = 0, []
     for support, members in groups.items():
+        if not support & ~gauge:
+            total += support.bit_count() * len(members)
+            continue
         cols = [j for j in range(n) if support >> j & 1]
         rows = [heads[j] | (slot[j] >= 0) << w * (r + k)
                 for k, j in enumerate(cols)]

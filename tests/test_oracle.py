@@ -14,7 +14,7 @@ from detmatroid import (DEFAULT_PRIME, ContractError, PrimeField,
                         SupportPattern, is_base, jacobian_rank, linalg,
                         prev_prime, transpose)
 from detmatroid.linalg import _eliminate, rank
-from detmatroid.oracle import _rank_ceiling
+from detmatroid.oracle import _draws, _rank_ceiling
 
 
 def _jacobian_rank_dense(pattern, r, p=DEFAULT_PRIME, seed=0):
@@ -152,22 +152,41 @@ def test_jacobian_rank_matches_dense_reference(monkeypatch):
 
 
 def test_jacobian_rank_eliminates_each_distinct_support_once(monkeypatch):
-    # six columns on two supports: the gauge, one call per support and the
-    # Schur stage, where one call per block would make 1 + 6 + 1
+    # six columns on two supports: the gauge, one call for {1, 2, 3} and
+    # the Schur stage, where one call per block would make 1 + 6 + 1; the
+    # support {1, 2} lies inside the gauge (rows 1 and 2 of a generic L)
+    # and is counted without a call
     calls = _recording(monkeypatch)
     pattern = make_pattern(3, [[1, 2, 3], [1, 2], [1, 2, 3], [1, 2],
                                [1, 2, 3], [1, 2]])
+    inside = make_pattern(3, [[1, 2], [1], [2], [1, 2], [1], [2]])
     for seed in range(5):
         del calls[:]
         got = jacobian_rank(pattern, 2, DEFAULT_PRIME, seed)
-        assert len(calls) == 4
-        assert [limit for _, limit, _, _ in calls[1:3]] == [2, 2]
+        assert len(calls) == 3
+        assert calls[1][1] == 2
         assert got == _jacobian_rank_dense(pattern, 2, DEFAULT_PRIME, seed)
+        # every support inside the gauge: only the gauge and Schur calls
+        del calls[:]
+        got = jacobian_rank(inside, 2, DEFAULT_PRIME, seed)
+        assert len(calls) == 2
+        assert got == _jacobian_rank_dense(inside, 2, DEFAULT_PRIME, seed)
     # the same on the rows, with the transpose
     del calls[:]
     assert (jacobian_rank(transpose(pattern), 2, 7, 3)
             == _jacobian_rank_dense(transpose(pattern), 2, 7, 3))
-    assert len(calls) == 4
+    assert len(calls) == 3
+
+
+def test_draws_are_the_values_randrange_draws():
+    # _draws takes getrandbits with randrange's rejection rule; the dense
+    # reference draws through randrange itself, so this pins the two
+    # routes together on every CPython the tests run on
+    for p in (2, 3, 5, 7, 31, 65521, 2 ** 31 - 1, 2 ** 61 - 1):
+        for seed in range(300):
+            rng = random.Random(seed)
+            assert (_draws(seed, p, 40)
+                    == [rng.randrange(p) for _ in range(40)]), (p, seed)
 
 
 def test_jacobian_rank_slot_widths_follow_the_docstring(monkeypatch):
@@ -402,4 +421,10 @@ def test_is_base_contract_errors():
         is_base(p, 1, trials=0)
     with pytest.raises(ContractError):
         is_base(p, -1)
+    # a composite modulus is refused before the early returns of r = 0 and
+    # of an empty pattern
+    with pytest.raises(ContractError, match="modulus 4 is not prime"):
+        is_base(SupportPattern(2, 2, (0, 0)), 1, p=4)
+    with pytest.raises(ContractError, match="modulus 4 is not prime"):
+        jacobian_rank(p, 0, p=4)
 

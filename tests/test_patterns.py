@@ -17,6 +17,12 @@ from detmatroid import (CapacityError, ContractError, ParseError, Slmf,
 from detmatroid.patterns import _cols_of_rows, _indicator_rows
 
 
+def _json_dumps_text(p):
+    """The JSON text of p as json.dumps prints it."""
+    return json.dumps({"m": p.m, "n": p.n,
+                       "columns": [list(c) for c in p.columns]}) + "\n"
+
+
 def _replay_reduction(pattern, log):
     """Apply a reduce_pattern log step by step."""
     cur = pattern
@@ -73,6 +79,8 @@ def test_empty_shapes_print_text_that_does_not_parse_back():
             (SupportPattern(3, 0, ()), "indicator", "empty pattern text")]:
         with pytest.raises(ParseError, match=message):
             parse_pattern(emit_pattern(p, fmt))
+        if fmt == "json":
+            assert emit_pattern(p, fmt) == _json_dumps_text(p)
     # the one shape that keeps its round trip: rows but no columns, in JSON
     p = SupportPattern(3, 0, ())
     assert parse_pattern(emit_pattern(p, "json")) == p
@@ -198,6 +206,7 @@ def test_mask_format_round_trips_and_prints_unchanged():
         assert len(rows) == m and all(len(row) == n for row in rows)
         assert _cols_of_rows(rows) == p.cols
         printed += [emit_pattern(p), emit_pattern(p, "json")]
+        assert printed[-1] == _json_dumps_text(p)
     for _ in range(200):
         p, r = _windows_pattern(rng)
         cert = partition_search(p, r)
