@@ -18,8 +18,8 @@ from .oracle import OracleVerdict, is_base, jacobian_rank
 from .partition import (PartitionCertificate, certificate_from_groups,
                         parse_certificate, partition_search,
                         validate_certificate)
-from .patterns import (Slmf, SupportPattern, drop_column, drop_row,
-                       emit_pattern, parse_pattern, reduce_pattern, transpose)
+from .patterns import (Slmf, SupportPattern, emit_pattern, parse_pattern,
+                       reduce_pattern, transpose)
 from .seeding import derive_seed
 from .slmf import RelaxedParams, ViolationWitness, is_relaxed_slmf, is_slmf
 
@@ -50,8 +50,6 @@ __all__ = [
     "complete_matrix",
     "contains_full_bipartite",
     "derive_seed",
-    "drop_column",
-    "drop_row",
     "emit_pattern",
     "enumerate_patterns",
     "is_base",

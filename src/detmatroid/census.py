@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .errors import CapacityError, ContractError
 from .fields import DEFAULT_PRIME, prev_prime
-from .oracle import DEFAULT_TRIALS, is_base
+from .oracle import DEFAULT_TRIALS, _check_trials_and_prime, is_base
 from .partition import partition_search
 from .patterns import (SupportPattern, _bits_of, emit_pattern, reduce_pattern,
                        transpose)
@@ -255,6 +255,7 @@ def certify(pattern: SupportPattern, r: int, prime: int = DEFAULT_PRIME,
     params = RelaxedParams(r, r)  # refuses r < 1 by name, before any stage
     m, n = pattern.m, pattern.n
     size = pattern.size()
+    _check_trials_and_prime(trials, prime, size)
     dim = r * (m + n - r)
     stages: dict = {"size": {"ok": size == dim, "size": size, "dimension": dim}}
     payload = {"m": m, "n": n, "r": r, "stages": stages}
@@ -317,17 +318,19 @@ def classify_pattern(pattern: SupportPattern, r: int, prime: int = DEFAULT_PRIME
     base-ness, so the reduced pattern carries the classification, read from
     its certify() stages.  A base-size pattern that reduces to nothing is a
     base trivially; a pattern of the wrong size is negative on all three
-    routes.
+    routes, with certify()'s size stage as witness: checked here, since
+    certify() refuses p <= |Omega| even off base size, where no oracle runs.
     """
     reduced, log = reduce_pattern(pattern, r)
-    if reduced.size() == 0 and pattern.size() == r * (pattern.m + pattern.n - r):
+    size, dim = reduced.size(), r * (reduced.m + reduced.n - r)
+    if size != dim:
+        return CensusRow(pattern, r, False, False, False, {"size": {
+            "ok": False, "size": size, "dimension": dim}}, log)
+    if size == 0:
         return CensusRow(pattern, r, True, True, True,
                          {"trivial": "reduced to an empty pattern"}, log)
     pat_seed = derive_seed(seed, "census:%s" % emit_pattern(pattern, "json"))
     stages = certify(reduced, r, prime, trials, pat_seed)["stages"]
-    if not stages["size"]["ok"]:
-        return CensusRow(pattern, r, False, False, False,
-                         {"size": stages["size"]}, log)
     relaxed, partition = stages["relaxed"], stages["partition"]
     if not relaxed["ok"]:
         witness = {"violation": relaxed["witness"]}
@@ -378,6 +381,9 @@ def verify_conjecture(m: int, n: int, r: int, prime: int = DEFAULT_PRIME,
     Candidate counterexamples have their oracle column re-verified with 10
     trials at up to 3 primes, and survive only if still inconsistent.
     """
+    _check_trials_and_prime(trials, prime)
+    if jobs < 1:
+        raise ContractError("jobs must be >= 1")
     patterns = list(enumerate_patterns(m, n, r, filter=filter, col_size=col_size))
     args = [(p, r, prime, trials, seed) for p in patterns]
     if jobs > 1 and len(patterns) > 1:

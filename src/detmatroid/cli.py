@@ -74,6 +74,10 @@ def cmd_partition(args) -> int:
         _emit_json({"valid": True, "certificate": cert.as_dict()})
         return 0
     cert = partition_search(pattern, args.r)
+    size, dim = pattern.size(), args.r * (pattern.m + pattern.n - args.r)
+    if size != dim:
+        print("note: pattern size %d differs from r(m+n-r) = %d; a partition "
+              "cannot certify a base" % (size, dim), file=sys.stderr)
     if cert is None:
         _emit_json({"found": False})
         return 1

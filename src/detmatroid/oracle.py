@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import ContractError
 from .fields import DEFAULT_PRIME, PrimeField
-from .patterns import SupportPattern, transpose
+from .patterns import SupportPattern, _row_masks
 from .seeding import derive_seed
 
 DEFAULT_TRIALS = 3
@@ -91,7 +91,7 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
         supports = pattern.cols
         n = m
     else:
-        supports = transpose(pattern).cols
+        supports = _row_masks(m, pattern.cols)
     groups = {}
     for i, support in enumerate(supports):
         if support:
@@ -185,6 +185,17 @@ class OracleVerdict:
         }
 
 
+def _check_trials_and_prime(trials: int, p: int, size: int | None = None) -> None:
+    """Refuse trials < 1, a p that is not prime, and p <= size (|Omega|)."""
+    if trials < 1:
+        raise ContractError("trials must be >= 1")
+    if size is not None and p <= size:
+        raise ContractError(
+            "prime p=%d must exceed |Omega|=%d: a trial misses full rank with "
+            "probability up to |Omega|/p (Schwartz-Zippel)" % (p, size))
+    PrimeField(p)  # refuses a p that is not prime
+
+
 def is_base(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
             trials: int = DEFAULT_TRIALS, seed: int = 0) -> OracleVerdict:
     """Classify the pattern: base / not_base at size r(m+n-r), else
@@ -201,13 +212,8 @@ def is_base(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     m, n = pattern.m, pattern.n
     if not 0 <= r <= min(m, n):
         raise ContractError("need 0 <= r <= min(m,n), got r=%d m=%d n=%d" % (r, m, n))
-    if trials < 1:
-        raise ContractError("trials must be >= 1")
     size = pattern.size()
-    if p <= size:
-        raise ContractError(
-            "prime p=%d must exceed |Omega|=%d: a trial misses full rank with "
-            "probability up to |Omega|/p (Schwartz-Zippel)" % (p, size))
+    _check_trials_and_prime(trials, p, size)
     dim = r * (m + n - r)
     best = 0
     ran = 0

@@ -8,7 +8,6 @@ with the SLMF each group induces.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 from .errors import ContractError, ParseError
@@ -200,12 +199,6 @@ def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | 
     if r < 1:
         raise ContractError("need 1 <= r < m, got r=%d m=%d" % (r, m))
     _check_scan_shape(pattern, r)
-    if pattern.size() != r * (m + n - r):
-        warnings.warn(
-            "pattern size %d differs from r(m+n-r) = %d; a partition cannot "
-            "certify a base" % (pattern.size(), r * (m + n - r)),
-            stacklevel=2,
-        )
     quota = m - r
     order = sorted(range(n), key=lambda j: (-pattern.cols[j].bit_count(), j))
     masks = [pattern.cols[j] for j in order]

@@ -6,8 +6,9 @@ set.  Patterns are immutable; row sets are stored as bitmasks (bit i-1 = row i)
 which caps m at 64 rows, far beyond the exhaustive-search ceilings elsewhere.
 This module owns that mask format for the whole package: row lists become
 masks through _bits_of and back through _rows_of, 0/1 indicator rows through
-_cols_of_rows and back through _indicator_rows, and transpose swaps the two
-sides.
+_cols_of_rows and back through _indicator_rows, and column masks become row
+masks (bit j-1 = column j) through _row_masks, the one row view that
+transpose, reduce_pattern, the oracle and the relaxed check all take.
 
 An Slmf holds the column supports of a (r,m) linkage matching field support:
 exactly m-r columns, each with r+1 rows.  Whether such a system actually
@@ -54,6 +55,19 @@ def _rows_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
+
+
+def _row_masks(m: int, cols) -> list[int]:
+    """The m row masks of column masks: bit j of row i is bit i of cols[j]
+    (row masks give column masks back).  Visits each cell, not all m*n bits."""
+    rows = [0] * m
+    for j, mask in enumerate(cols):
+        bit = 1 << j
+        while mask:
+            low = mask & -mask
+            rows[low.bit_length() - 1] |= bit
+            mask ^= low
+    return rows
 
 
 def _indicator_rows(m: int, cols) -> list[list[int]]:
@@ -211,32 +225,8 @@ def transpose(pattern: SupportPattern) -> SupportPattern:
     """Swap rows and columns; an involution."""
     if pattern.n > MAX_ROWS:
         raise CapacityError("transpose needs n <= %d rows" % MAX_ROWS)
-    new_cols = []
-    for i in range(pattern.m):
-        bit = 1 << i
-        mask = 0
-        for j, col in enumerate(pattern.cols):
-            if col & bit:
-                mask |= 1 << j
-        new_cols.append(mask)
-    return SupportPattern(pattern.n, pattern.m, tuple(new_cols))
-
-
-def drop_column(pattern: SupportPattern, j: int) -> SupportPattern:
-    """Remove column j (1-based); later columns shift down by one."""
-    if not 1 <= j <= pattern.n:
-        raise ContractError("column index %d out of range 1..%d" % (j, pattern.n))
-    cols = pattern.cols[: j - 1] + pattern.cols[j:]
-    return SupportPattern(pattern.m, pattern.n - 1, cols)
-
-
-def drop_row(pattern: SupportPattern, i: int) -> SupportPattern:
-    """Remove row i (1-based); later rows shift down by one."""
-    if not 1 <= i <= pattern.m:
-        raise ContractError("row index %d out of range 1..%d" % (i, pattern.m))
-    low = (1 << (i - 1)) - 1
-    cols = tuple((mask & low) | ((mask >> i) << (i - 1)) for mask in pattern.cols)
-    return SupportPattern(pattern.m - 1, pattern.n, cols)
+    return SupportPattern(pattern.n, pattern.m,
+                          tuple(_row_masks(pattern.m, pattern.cols)))
 
 
 def reduce_pattern(pattern: SupportPattern, r: int) -> tuple[SupportPattern, tuple]:
@@ -246,37 +236,32 @@ def reduce_pattern(pattern: SupportPattern, r: int) -> tuple[SupportPattern, tup
     observed columns, preserves whether the pattern is a base (and more
     generally independent) for rank bound r, so classification may be done on
     the reduced pattern.  Passes alternate: all size-r columns in ascending
-    index order, then all degree-r rows, repeated to a fixed point.
+    index order, then all degree-r rows, repeated to a fixed point.  A
+    degree-r row is a size-r column of the transpose, so both passes are
+    one strip of the masks of r bits, on the columns and then on the rows.
 
     Returns (reduced pattern, log); the log lists ('col', j) / ('row', i)
-    steps with indices valid at the moment of deletion, so replaying them in
-    order with drop_column / drop_row transforms the input into the output.
+    steps with indices valid at the moment of deletion.  Replayed in order
+    they turn the input into the output: ('col', j) deletes the j-th
+    column mask; ('row', i) maps each mask c to c & low | c >> i << (i-1),
+    low = (1 << (i-1)) - 1, which deletes row i and moves later rows down.
     """
     if r < 1:
         raise ContractError("rank bound must be >= 1")
-    cur = pattern
-    log = []
-    changed = True
-    while changed:
-        changed = False
-        j = 1
-        while j <= cur.n:
-            if cur.cols[j - 1].bit_count() == r:
-                cur = drop_column(cur, j)
-                log.append(("col", j))
-                changed = True
-            else:
-                j += 1
-        i = 1
-        while i <= cur.m:
-            bit = 1 << (i - 1)
-            if sum(1 for mask in cur.cols if mask & bit) == r:
-                cur = drop_row(cur, i)
-                log.append(("row", i))
-                changed = True
-            else:
-                i += 1
-    return cur, tuple(log)
+    masks, width, log = list(pattern.cols), pattern.m, []
+    while True:
+        cols, steps = masks, len(log)
+        for kind in ("col", "row"):  # each pass ends on the other side
+            kept = []
+            for mask in masks:
+                if mask.bit_count() == r:
+                    log.append((kind, len(kept) + 1))
+                else:
+                    kept.append(mask)
+            if kind == "row" and len(log) == steps:  # the round deleted nothing
+                return (SupportPattern(len(kept), len(cols), tuple(cols)),
+                        tuple(log))
+            masks, width = _row_masks(width, kept), len(kept)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import CapacityError, ContractError
-from .patterns import Slmf, SupportPattern, _rows_of, transpose
+from .patterns import Slmf, SupportPattern, _row_masks, _rows_of
 
 RELAXED_SCAN_CEILING = 24
 
@@ -217,7 +217,7 @@ def is_relaxed_slmf(
     total = sum(e for _, e in excess_cols)
     if nu == 1 and total == m - r and _unions_cover_excess(excess_cols, r):
         return True, None
-    if nu < r or n >= m or _first_violation(transpose(pattern).cols, n, r, nu):
+    if nu < r or n >= m or _first_violation(_row_masks(m, masks), n, r, nu):
         found = _first_violation(masks, m, r, nu)
         if found is not None:
             rows, lhs, rhs = found

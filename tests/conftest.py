@@ -6,6 +6,8 @@ property the tests rely on, all at target rank 2 unless noted.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -87,6 +89,25 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
                                                       env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+CASE_DIGESTS = Path(__file__).with_name("case_digests.json")
+
+
+def case_digest(data: bytes) -> str:
+    """The first 16 hex digits of the sha256 of data."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def assert_case_digests(name: str, cases) -> None:
+    """Compare (label, case_digest) pairs with those recorded under name in
+    case_digests.json, naming every case that changed, appeared or went."""
+    recorded = json.loads(CASE_DIGESTS.read_text(encoding="utf-8"))[name]
+    got = dict(cases)
+    changed = [label for label in dict.fromkeys([*recorded, *got])
+               if recorded.get(label) != got.get(label)]
+    assert not changed, "%s: %d of %d cases changed: %s" % (
+        name, len(changed), len(recorded), ", ".join(changed))
 
 
 def mat_transpose(a: list[list]) -> list[list]:

@@ -28,8 +28,7 @@ PUBLIC_NAMES = [
     "Rationals", "RelaxedParams", "Slmf", "SupportPattern",
     "ViolationWitness", "canonical_form", "certificate_from_groups",
     "certify", "classify_pattern", "complete_matrix",
-    "contains_full_bipartite", "derive_seed", "drop_column", "drop_row",
-    "emit_pattern", "enumerate_patterns", "is_base", "is_relaxed_slmf",
+    "contains_full_bipartite", "derive_seed", "emit_pattern", "enumerate_patterns", "is_base", "is_relaxed_slmf",
     "is_slmf", "is_spanning_tree", "jacobian_rank", "known_facts_crosscheck",
     "parse_certificate", "parse_pattern", "partition_search", "prev_prime",
     "reduce_pattern", "transpose", "validate_certificate",

@@ -14,8 +14,8 @@ import pytest
 
 from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
                       RELAXED_NONBASE_5X5, SLMF_6X4_COLUMNS,
-                      UNPARTITIONABLE_BASE_6X5, draw_base_size, make_pattern,
-                      run_python)
+                      UNPARTITIONABLE_BASE_6X5, assert_case_digests,
+                      case_digest, draw_base_size, make_pattern, run_python)
 from dense import random_rank_r
 from detmatroid import (DEFAULT_PRIME, OracleVerdict, PartitionCertificate,
                         Slmf, ViolationWitness, certificate_from_groups,
@@ -285,6 +285,35 @@ def test_certify_refusals_are_named_by_the_relaxed_check(tmp_path, capsys,
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("command, extra, message", [
+    # the all-ones 2x2 pattern at r=1 is off base size (4 cells, dimension
+    # 3), and the 4x3 r=2 census has no orbits: neither reaches the oracle
+    ("certify", ["--trials", "0"], "trials must be >= 1"),
+    ("certify", ["--prime", "4"], "prime p=4 must exceed |Omega|=4"),
+    ("certify", ["--prime", "9"], "modulus 9 is not prime"),
+    ("verify-conjecture", ["--trials", "0"], "trials must be >= 1"),
+    ("verify-conjecture", ["--prime", "9"], "modulus 9 is not prime"),
+    ("verify-conjecture", ["--jobs", "0"], "jobs must be >= 1"),
+    ("verify-conjecture", ["--jobs", "-3"], "jobs must be >= 1"),
+], ids=["certify-trials-0", "certify-prime-4", "certify-prime-9",
+        "verify-trials-0", "verify-prime-9", "verify-jobs-0",
+        "verify-jobs-negative"])
+def test_oracle_arguments_are_refused_before_any_stage(tmp_path, capsys,
+                                                       command, extra, message):
+    if command == "certify":
+        path = _write_pattern(tmp_path, "p.txt", 2, [[1, 2]] * 2)
+        argv, default = [command, "--pattern", path, "--r", "1"], (1, "size")
+    else:
+        argv, default = [command, "--m", "4", "--n", "3", "--r", "2"], (0, "")
+    code, out, err = _run(capsys, argv + extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s" % message) and err.count("\n") == 1
+    # with the default trials, prime and jobs: a size negative, an empty
+    # census
+    code, out, _ = _run(capsys, argv)
+    assert code == default[0] and default[1] in out
+
+
 def _certify_corpus():
     """150 seeded base-size patterns: squares from 6x6 to 10x10 and tall
     14x10 ones, two in three with every row and column above r."""
@@ -300,20 +329,24 @@ def test_certify_stdout_is_frozen(tmp_path, capsys):
     # still ran on every pattern; the corpus holds an input partition,
     # relaxed negatives, a partition on the reduction only and oracle bases
     # with no partition, so reading the relaxed stage off a partition is
-    # checked against the scan on each kind
-    digest, outcomes = hashlib.sha256(), set()
+    # checked against the scan on each kind.  Each case's own digest,
+    # recorded with the whole-run one, names the cases that changed
+    digest, outcomes, cases = hashlib.sha256(), set(), []
     path = tmp_path / "p.txt"
     for seed, (pattern, r) in enumerate(_certify_corpus()):
         path.write_text(emit_pattern(pattern))
         code, out, _ = _run(capsys, ["certify", "--pattern", str(path),
                                      "--r", str(r), "--seed", str(seed)])
-        digest.update(b"%d\n" % code)
-        digest.update(out.encode())
+        record = b"%d\n" % code + out.encode()
+        digest.update(record)
+        cases.append(("seed %d %dx%d r=%d" % (seed, pattern.m, pattern.n, r),
+                      case_digest(record)))
         stages = json.loads(out)["stages"]
         outcomes.add((stages["relaxed"]["ok"], stages["partition"]["on"],
                       stages["oracle"]["verdict"]))
     assert {(True, "input", "base"), (False, None, "not_base"),
             (True, "reduced", "base"), (True, None, "base")} <= outcomes
+    assert_case_digests("certify", cases)
     assert digest.hexdigest() == (
         "915ea260529b7a076e0497d90e10e2379d84ef18d5c9f2c20dc83866fd768bdd")
 
@@ -347,19 +380,25 @@ def _certificate_corpus():
 
 def test_partition_certificate_stdout_is_frozen(tmp_path, capsys):
     # sha256 of each exit code and stdout in turn, pinned before the
-    # certificate layer's relaxed group check became one routine
-    digest, codes = hashlib.sha256(), []
+    # certificate layer's relaxed group check became one routine, and each
+    # case's own digest
+    digest, codes, cases = hashlib.sha256(), [], []
     path, cert_path = tmp_path / "p.txt", tmp_path / "cert.json"
-    for pattern, r, cert, r_arg in _certificate_corpus():
+    kinds = ("found", "moved", "swapped", "r+1")
+    for k, (pattern, r, cert, r_arg) in enumerate(_certificate_corpus()):
         path.write_text(emit_pattern(pattern))
         cert_path.write_text(cert.to_json())
         code, out, _ = _run(capsys, ["partition", "--pattern", str(path),
                                      "--r", str(r_arg),
                                      "--certificate", str(cert_path)])
-        digest.update(b"%d\n" % code)
-        digest.update(out.encode())
+        record = b"%d\n" % code + out.encode()
+        digest.update(record)
         codes.append(code)
+        cases.append(("case %d %dx%d r=%d %s" % (k, pattern.m, pattern.n, r,
+                                                 kinds[k % 4]),
+                      case_digest(record)))
     assert len(codes) == 184 and set(codes) == {0, 2}
+    assert_case_digests("partition_certificate", cases)
     assert digest.hexdigest() == (
         "fe0c960a79f6cd7102ae447f04b97909b73ed2da505bb157ae3232b41bd1544f")
 
@@ -373,6 +412,19 @@ def test_certify_refuses_prime_not_above_pattern_size(tmp_path, capsys, prime):
                                    "--prime", str(prime)])
     assert (code, out) == (2, "")
     assert err.startswith("error: prime p=%d must exceed |Omega|=18" % prime)
+
+
+def test_partition_notes_an_off_base_size_on_every_call(tmp_path, capsys):
+    # a fixed stderr line on every call, as in a fresh process: not a
+    # warning, which CPython shows once per code location
+    path = _write_pattern(tmp_path, "p.txt", 3, [[1, 2], [3]])
+    argv = ["partition", "--pattern", path, "--r", "1"]
+    note = ("note: pattern size 3 differs from r(m+n-r) = 4; a partition "
+            "cannot certify a base\n")
+    answer = (1, json.dumps({"found": False}, indent=2) + "\n", note)
+    assert [_run(capsys, argv) for _ in range(2)] == [answer] * 2
+    fresh = run_python("-m", "detmatroid.cli", *argv)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == answer
 
 
 def test_unexpected_exception_exits_two(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import make_pattern
+from conftest import assert_case_digests, case_digest, make_pattern
 from dense import random_matrix, random_rank_r
 from detmatroid import (DEFAULT_PRIME, ContractError, PrimeField,
                         SupportPattern, is_base, jacobian_rank, linalg,
@@ -285,7 +285,8 @@ def test_jacobian_rank_and_is_base_outputs_are_frozen():
     # every rank and verdict (or refusal) over the corpus, hashed twice:
     # in full, and with the trial count left out, which pins every verdict
     # and rank_observed apart from when the trials stop.  The trials-free
-    # digest was recorded before trials stopped at the counting ceiling
+    # digest was recorded before trials stopped at the counting ceiling.
+    # Each run of 100 cases has its own digest too, naming where a change is
     lines, answers = [], []
     for pattern, r, p, seed in _shared_support_corpus(2400, 2026):
         head = "%r %d %d %d" % (pattern.cols, r, p,
@@ -300,6 +301,10 @@ def test_jacobian_rank_and_is_base_outputs_are_frozen():
         answer = verdict.as_dict()
         del answer["trials"]
         answers.append("%s %r" % (head, answer))
+    assert_case_digests("oracle", [
+        ("cases %d-%d" % (k, k + 99),
+         case_digest("\n".join(lines[k:k + 100]).encode()))
+        for k in range(0, len(lines), 100)])
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     answers_digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
     assert answers_digest == ("811cb51a923add0d10300805c468d0f8"

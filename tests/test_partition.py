@@ -110,12 +110,6 @@ def test_search_exhausts_without_partition(unpartitionable_base,
     assert partition_search(make_pattern(6, [[1, 2, 3]] * 8), 2) is None
 
 
-def test_search_warns_off_base_size():
-    p = make_pattern(3, [[1, 2], [3]])
-    with pytest.warns(UserWarning):
-        assert partition_search(p, 1) is None
-
-
 def test_hand_partition_builds_valid_certificate(reduced_base):
     cert = certificate_from_groups(reduced_base, 2, REDUCED_BASE_5X5_GROUPS)
     validate_certificate(reduced_base, cert, 2)

@@ -11,9 +11,8 @@ import pytest
 from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
                       UNPARTITIONABLE_BASE_6X5, make_pattern)
 from detmatroid import (CapacityError, ContractError, ParseError, Slmf,
-                        SupportPattern, drop_column, drop_row, emit_pattern,
-                        parse_pattern, partition_search, reduce_pattern,
-                        transpose)
+                        SupportPattern, emit_pattern, parse_pattern,
+                        partition_search, reduce_pattern, transpose)
 from detmatroid.patterns import _cols_of_rows, _indicator_rows
 
 
@@ -21,6 +20,58 @@ def _json_dumps_text(p):
     """The JSON text of p as json.dumps prints it."""
     return json.dumps({"m": p.m, "n": p.n,
                        "columns": [list(c) for c in p.columns]}) + "\n"
+
+
+def drop_column(pattern: SupportPattern, j: int) -> SupportPattern:
+    """Remove column j (1-based); later columns shift down by one."""
+    if not 1 <= j <= pattern.n:
+        raise ContractError("column index %d out of range 1..%d" % (j, pattern.n))
+    cols = pattern.cols[: j - 1] + pattern.cols[j:]
+    return SupportPattern(pattern.m, pattern.n - 1, cols)
+
+
+def drop_row(pattern: SupportPattern, i: int) -> SupportPattern:
+    """Remove row i (1-based); later rows shift down by one."""
+    if not 1 <= i <= pattern.m:
+        raise ContractError("row index %d out of range 1..%d" % (i, pattern.m))
+    low = (1 << (i - 1)) - 1
+    cols = tuple((mask & low) | ((mask >> i) << (i - 1)) for mask in pattern.cols)
+    return SupportPattern(pattern.m - 1, pattern.n, cols)
+
+
+def _reduce_reference(pattern, r):
+    """The reference reduction, line by line: one validated pattern per
+    deleted line, each row degree counted column by column."""
+    cur = pattern
+    log = []
+    changed = True
+    while changed:
+        changed = False
+        j = 1
+        while j <= cur.n:
+            if cur.cols[j - 1].bit_count() == r:
+                cur = drop_column(cur, j)
+                log.append(("col", j))
+                changed = True
+            else:
+                j += 1
+        i = 1
+        while i <= cur.m:
+            bit = 1 << (i - 1)
+            if sum(1 for mask in cur.cols if mask & bit) == r:
+                cur = drop_row(cur, i)
+                log.append(("row", i))
+                changed = True
+            else:
+                i += 1
+    return cur, tuple(log)
+
+
+def _transpose_reference(pattern):
+    """The transpose, bit by bit over all m*n cells."""
+    return SupportPattern(pattern.n, pattern.m, tuple(
+        sum(1 << j for j, col in enumerate(pattern.cols) if col >> i & 1)
+        for i in range(pattern.m)))
 
 
 def _replay_reduction(pattern, log):
@@ -141,6 +192,50 @@ def test_reduce_is_identity_on_irreducible_patterns():
     p = make_pattern(5, REDUCED_BASE_5X5)
     reduced, log = reduce_pattern(p, 2)
     assert reduced == p and log == ()
+
+
+def _reducible_pattern(rng):
+    """A seeded pattern up to 9x9 at a rank bound of 1 to 4.  A fourth of the
+    draws are uniform at a random density; the rest give each column, and
+    then each row, a size within one of r and most often r, so that
+    most lose a line and some cascade to nothing."""
+    m, n, r = rng.randint(0, 9), rng.randint(0, 9), rng.randint(1, 4)
+    if rng.random() < 1 / 4:
+        density = rng.random()
+        cols = [sum(1 << i for i in range(m) if rng.random() < density)
+                for _ in range(n)]
+        return SupportPattern(m, n, tuple(cols)), r
+    near = 0.5 + rng.random() / 2
+
+    def line(length):
+        if rng.random() < near:
+            size = min(length, max(0, r + rng.choice((-1, 0, 0, 1))))
+        else:
+            size = rng.randint(0, length)
+        return sum(1 << k for k in rng.sample(range(length), size))
+
+    cols = [line(m) for _ in range(n)]
+    if rng.random() < 0.5:
+        rows = [line(n) for _ in range(m)]
+        cols = [sum((row >> j & 1) << i for i, row in enumerate(rows))
+                for j in range(n)]
+    return SupportPattern(m, n, tuple(cols)), r
+
+
+def test_reduce_matches_the_step_by_step_reference():
+    # the mask strip returns the pattern and the log of the reference, the
+    # log replays to the output, and transpose matches a bit-by-bit one
+    rng = random.Random(27)
+    lost = emptied = 0
+    for _ in range(10000):
+        pattern, r = _reducible_pattern(rng)
+        reduced, log = reduce_pattern(pattern, r)
+        assert (reduced, log) == _reduce_reference(pattern, r), (pattern, r)
+        assert _replay_reduction(pattern, log) == reduced
+        assert transpose(pattern) == _transpose_reference(pattern)
+        lost += bool(log)
+        emptied += bool(log) and reduced.size() == 0
+    assert lost > 5500 and emptied > 1500, (lost, emptied)
 
 
 def test_slmf_validation():
