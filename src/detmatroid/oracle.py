@@ -40,6 +40,14 @@ def _draws(seed: int, p: int, count: int) -> list[int]:
     return out
 
 
+def _pack(values, w: int) -> int:
+    """values as one int, value k in the w bits from bit w*k."""
+    x = 0
+    for v in reversed(values):
+        x = x << w | v
+    return x
+
+
 def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
                   seed: int = 0) -> int:
     """Rank of the Jacobian J of the observed entries of L*R at random (L, R).
@@ -59,23 +67,27 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
       independent columns, so X*R[:,P] can match any change of R[:,P]: the
       columns of R[:,P] can be dropped from S without changing the image of J.
 
-    Every step is a call of the packed GF(p) kernel linalg._eliminate_mod_p.
-    P is the pivot slots of R's rows.  Cell (i,j) is a row holding R[:,j]
-    in slots 0..r-1 and, for j outside P, a unit in a slot of its own, so
-    eliminating r slots counts rank A_i and leaves each y in the unit
-    slots.  These rows depend only on the support of block i, so blocks
-    with the same support are eliminated once, in order of first
-    appearance.  A support inside P is not eliminated at all: its R
-    columns are independent, so the block has full rank |support| and no
-    left-kernel vector.  y's Schur row for block i is the sum of
-    (y_j mod p) * L[i,:] packed at the Schur slots of column j: the packed
-    L[i,:] times one packed vector of the y_j mod p, shared by the
-    support's blocks (no two products meet in a slot).  Nothing is reduced between the stages:
-    a block slot takes r updates from below p and a Schur slot at most
-    width from below p^2, so w = linalg._slot_width(p, r + width).  L and
-    R are drawn entry by entry, row by row and L first, as the dense
-    reference in the tests draws them with randrange; _draws gives the
-    same values through getrandbits.
+    Every step is a call of the packed GF(p) kernel linalg._eliminate_mod_p:
+    the gauge, one call per distinct support outside P, then the Schur
+    stage.  P is the pivot slots of R's rows.  Cell (i,j) is a row holding
+    R[:,j] in slots 0..r-1 and, for j outside P, a unit in a slot of its
+    own (slot r+k for the k-th such j of the support), so eliminating r
+    slots counts rank A_i and leaves each y in the unit slots.  These rows
+    depend only on the support of block i, so blocks with the same support
+    are eliminated once, in order of first appearance.  A support inside P
+    is not eliminated at all: its R columns are independent, so the block
+    has full rank |support| and no left-kernel vector.  y's Schur row for
+    block i is the sum of (y_j mod p) * L[i,:] packed at the Schur slots of
+    column j: the packed L[i,:] times one packed vector of the y_j mod p,
+    shared by the support's blocks (no two products meet in a slot).
+    Nothing is reduced between the stages: a block slot takes r updates
+    from below p and a Schur slot at most width from below p^2, so
+    w = linalg._slot_width(p, r + width).  L and R are drawn entry by
+    entry, row by row and L first, as the dense reference in the tests
+    draws them with randrange; _draws gives the same values through
+    getrandbits.  Each row of L and R, or of their transposes, is a slice
+    of that one list of draws (strided for a column), packed by _pack's
+    shifts and ors; a support's columns are its set bits.
     """
     if r < 0:
         raise ContractError("r must be >= 0")
@@ -84,13 +96,13 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
         return 0
     m, n = pattern.m, pattern.n
     draws = _draws(seed, p, r * (m + n))
-    left = [draws[r * i:r * i + r] for i in range(m)]
-    right = [draws[r * m + n * k:r * m + n * k + n] for k in range(r)]
-    if n > m:
-        left, right = list(zip(*right)), list(zip(*left))
-        supports = pattern.cols
-        n = m
+    if n > m:  # L's rows are R's columns, R's rows are L's columns
+        left = [draws[r * m + i::n] for i in range(n)]
+        right = [draws[t:r * m:r] for t in range(r)]
+        supports, n = pattern.cols, m
     else:
+        left = [draws[r * i:r * i + r] for i in range(m)]
+        right = [draws[r * m + n * k:r * m + n * k + n] for k in range(r)]
         supports = _row_masks(m, pattern.cols)
     groups = {}
     for i, support in enumerate(supports):
@@ -98,7 +110,7 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
             groups.setdefault(support, []).append(i)
     kernel, slot_width = linalg._eliminate_mod_p, linalg._slot_width
     w = slot_width(p, n)
-    rows = [sum(v << w * j for j, v in enumerate(row)) for row in right]
+    rows = [_pack(values, w) for values in right]
     gauge = sum(1 << j for j in kernel(rows, n, p, w)[0])
     slot, width = [-1] * n, 0
     for j in range(n):
@@ -106,23 +118,36 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
             slot[j], width = width, width + r
     w = slot_width(p, r + width)
     mask = (1 << w) - 1
-    heads = [sum(v << w * k for k, v in enumerate(col))
-             for col in zip(*right)]
+    heads = [_pack(values, w) for values in zip(*right)]
     total, schur = 0, []
     for support, members in groups.items():
         if not support & ~gauge:
             total += support.bit_count() * len(members)
             continue
-        cols = [j for j in range(n) if support >> j & 1]
-        rows = [heads[j] | (slot[j] >= 0) << w * (r + k)
-                for k, j in enumerate(cols)]
-        moves = [(w * k, w * slot[j])
-                 for k, j in enumerate(cols) if slot[j] >= 0]
+        rows, moves, unit = [], [], 1 << w * r
+        while support:
+            low = support & -support
+            support ^= low
+            j = low.bit_length() - 1
+            if gauge & low:
+                rows.append(heads[j])
+            else:
+                rows.append(heads[j] | unit)
+                unit <<= w
+                moves.append(w * slot[j])
         pivots, rest = kernel(rows, r, p, w)
         total += len(pivots) * len(members)
-        ys = [sum((y >> s & mask) % p << t for s, t in moves) for y in rest]
+        if not rest:
+            continue
+        ys = []
+        for y in rest:
+            z = 0
+            for t in moves:
+                z |= (y & mask) % p << t
+                y >>= w
+            ys.append(z)
         for i in members:
-            tail = sum(v << w * k for k, v in enumerate(left[i]))
+            tail = _pack(left[i], w)
             schur.extend(y * tail for y in ys)
     return total + len(kernel(schur, width, p, w)[0])
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CapacityError, ContractError, ParseError
 
@@ -201,6 +202,12 @@ def _parse_json(text: str) -> SupportPattern:
     return SupportPattern(m, n, tuple(cols))
 
 
+@lru_cache(maxsize=1024)
+def _column_text(mask: int) -> str:
+    """The JSON text of a column mask: "[1, 2, 4]" for 0b1011."""
+    return str(list(_rows_of(mask)))
+
+
 def emit_pattern(pattern: SupportPattern, fmt: str = "indicator") -> str:
     """Serialize a pattern; deterministic.
 
@@ -214,10 +221,12 @@ def emit_pattern(pattern: SupportPattern, fmt: str = "indicator") -> str:
         return "\n".join(" ".join(map(str, row)) for row in rows) + "\n"
     if fmt == "json":
         # the text json.dumps prints (a list of ints prints as str prints
-        # it), formatted directly: the census hashes it into every
-        # pattern's seed, and json.dumps costs about twice as much
-        return '{"m": %d, "n": %d, "columns": %s}\n' % (
-            pattern.m, pattern.n, [list(c) for c in pattern.columns])
+        # it), formatted directly, each column's text memoised: the census
+        # and the crosscheck hash it into the seeds of thousands of
+        # patterns over a few hundred masks, and a cache hit costs a
+        # fraction of formatting the column again
+        return '{"m": %d, "n": %d, "columns": [%s]}\n' % (
+            pattern.m, pattern.n, ", ".join(map(_column_text, pattern.cols)))
     raise ContractError("unknown format %r" % fmt)
 
 

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import itertools
 import math
 import random
 
 import pytest
 
-from conftest import RELAXED_NONBASE_5X5, make_pattern, run_python
+from conftest import (RELAXED_NONBASE_5X5, assert_case_digests, case_digest,
+                      make_pattern, run_python)
 from detmatroid import (DEFAULT_PRIME, CapacityError, ContractError,
                         SupportPattern, canonical_form, classify_pattern,
                         contains_full_bipartite, enumerate_patterns, is_base,
@@ -431,6 +433,36 @@ def test_crosscheck_non_bases_stop_at_the_counting_ceiling(monkeypatch):
     for pattern, r, verdict in non_bases:
         assert verdict.p == DEFAULT_PRIME and verdict.trials == 1
         assert verdict.rank_observed == _rank_ceiling(pattern, r) < 14
+
+
+def test_oracle_seeds_of_the_crosscheck_and_census_are_frozen(monkeypatch):
+    # every (pattern, r, seed) that the crosscheck and the census hand the
+    # oracle, in call order.  Each seed hashes the pattern's JSON label, and
+    # neither stdout shows it: a changed label or seed derivation moves
+    # every drawn point, yet the verdicts here would read the same.  Pinned
+    # with a digest per 100 crosscheck calls and per census call
+    calls = []
+
+    def recording_is_base(pattern, r, p, trials, seed):
+        calls.append("%r %d %d" % (pattern.cols, r, seed))
+        return is_base(pattern, r, p, trials, seed)
+
+    monkeypatch.setattr(census, "is_base", recording_is_base)
+    known_facts_crosscheck(3, 4, 1)
+    cases = [("crosscheck (3,4,1) calls %d-%d"
+              % (k, min(k + 100, len(calls)) - 1),
+              case_digest("\n".join(calls[k:k + 100]).encode()))
+             for k in range(0, len(calls), 100)]
+    for grid in ((5, 5, 2), (6, 5, 3)):
+        start = len(calls)
+        verify_conjecture(*grid)
+        cases += [("census (%d,%d,%d) call %d" % (*grid, k - start),
+                   case_digest(calls[k].encode()))
+                  for k in range(start, len(calls))]
+    assert_case_digests("oracle_seeds", cases)
+    assert hashlib.sha256("\n".join(calls).encode()).hexdigest() == (
+        "44ae69f5ee965f19ca2f48135cf91390"
+        "4fa45ecc409708154954a4a5c9ffdf94")
 
 
 def test_crosscheck_rejects_unsupported_rank():

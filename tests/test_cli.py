@@ -557,14 +557,15 @@ def _complete_corpus():
 
 def test_complete_stdout_is_frozen(tmp_path, capsys):
     # sha256 of each exit code and stdout in turn, pinned while the field
-    # printed its elements through to_str and the library drew the data
+    # printed its elements through to_str and the library drew the data;
+    # each run's own digest names the runs that changed
     pattern = make_pattern(6, FULLY_REDUCIBLE_BASE_6X5)
     ppath, cpath = tmp_path / "pattern.txt", tmp_path / "cert.json"
     ppath.write_text(emit_pattern(pattern))
     cpath.write_text(partition_search(pattern, 2).to_json())
     opath = tmp_path / "obs.csv"
-    digest, codes = hashlib.sha256(), []
-    for x, extra in _complete_corpus():
+    digest, codes, cases = hashlib.sha256(), [], []
+    for k, (x, extra) in enumerate(_complete_corpus()):
         opath.write_text("".join("%d,%d,%s\n" % (i, j, x[i - 1][j - 1])
                                  for (i, j) in pattern.cells()))
         code, out, _ = _run(capsys, ["complete", "--pattern", str(ppath),
@@ -573,7 +574,10 @@ def test_complete_stdout_is_frozen(tmp_path, capsys):
         digest.update(b"%d\n" % code)
         digest.update(out.encode())
         codes.append(code)
+        cases.append((" ".join(["run %d" % k] + extra),
+                      case_digest(b"%d\n" % code + out.encode())))
     assert codes == [0] * 28 + [1] * 2
+    assert_case_digests("complete", cases)
     assert digest.hexdigest() == (
         "ebdb252cbe957fe200983f6cf606e2246d6244b18f32ec69a9e7e8ec43b89629")
 
@@ -634,7 +638,21 @@ def test_verify_conjecture_reverifies_only_above_omega(capsys):
     assert info["reverified"]["primes"] == [19, 17]
 
 
-# sha256 of stdout, frozen so that refactors keep census output byte-identical
+def _census_rows(out, fmt):
+    """The rows of a verify-conjecture stdout as (label, bytes): each CSV
+    line, or each JSON row and then the document without its rows."""
+    if fmt == "csv":
+        return [("row %d" % k, line.encode())
+                for k, line in enumerate(out.splitlines(keepends=True))]
+    payload = json.loads(out)
+    rows = payload.pop("rows")
+    return [("row %d" % k, json.dumps(row, sort_keys=True).encode())
+            for k, row in enumerate(rows)] + [
+        ("rest", json.dumps(payload, sort_keys=True).encode())]
+
+
+# sha256 of stdout, frozen so that refactors keep census output byte-identical,
+# and a digest per row, which names the rows that changed
 @pytest.mark.parametrize("argv, digest", [
     (["--m", "5", "--n", "5", "--r", "2"],
      "18d992fd3cbe893b1d2171746e87e3a68b8711cc9079d4fbf9b987fae39a1dd4"),
@@ -654,6 +672,11 @@ def test_verify_conjecture_reverifies_only_above_omega(capsys):
         "6x5r2-csv", "6x6r3-csv", "6x6r2-csv"])
 def test_verify_conjecture_stdout_is_frozen(capsys, argv, digest):
     _, out, _ = _run(capsys, ["verify-conjecture"] + argv)
+    grid = "(%s,%s,%s)" % tuple(argv[1:6:2])
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+    assert_case_digests("verify_conjecture %s %s" % (grid, fmt), [
+        ("%s %s" % (grid, label), case_digest(data))
+        for label, data in _census_rows(out, fmt)])
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -9,11 +9,12 @@ import random
 import pytest
 
 from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
-                      UNPARTITIONABLE_BASE_6X5, make_pattern)
+                      UNPARTITIONABLE_BASE_6X5, assert_case_digests,
+                      case_digest, make_pattern)
 from detmatroid import (CapacityError, ContractError, ParseError, Slmf,
                         SupportPattern, emit_pattern, parse_pattern,
                         partition_search, reduce_pattern, transpose)
-from detmatroid.patterns import _cols_of_rows, _indicator_rows
+from detmatroid.patterns import _cols_of_rows, _column_text, _indicator_rows
 
 
 def _json_dumps_text(p):
@@ -294,7 +295,7 @@ def test_mask_format_round_trips_and_prints_unchanged():
     rng = random.Random(19)
     shapes = [(0, 0), (5, 0)] + [(rng.randint(1, 12), rng.randint(1, 12))
                                  for _ in range(500)]
-    printed = []
+    printed, ends = [], [0]
     for m, n in shapes:
         p = SupportPattern(m, n, tuple(rng.randrange(1 << m) for _ in range(n)))
         rows = _indicator_rows(m, p.cols)
@@ -302,10 +303,33 @@ def test_mask_format_round_trips_and_prints_unchanged():
         assert _cols_of_rows(rows) == p.cols
         printed += [emit_pattern(p), emit_pattern(p, "json")]
         assert printed[-1] == _json_dumps_text(p)
+        ends.append(len(printed))
     for _ in range(200):
         p, r = _windows_pattern(rng)
         cert = partition_search(p, r)
         printed += [emit_pattern(p), emit_pattern(p, "json"), cert.to_json()]
+        ends.append(len(printed))
+    # a digest per 100 patterns names where the printed text changed
+    cases = []
+    for k in range(0, len(ends) - 1, 100):
+        last = min(k + 100, len(ends) - 1)
+        cases.append(("patterns %d-%d" % (k, last - 1), case_digest(
+            "".join(printed[ends[k]:ends[last]]).encode())))
+    assert_case_digests("mask_format", cases)
     digest = hashlib.sha256("".join(printed).encode()).hexdigest()
     assert digest == ("f9b6ac4925a09c548b3b6e9cb18bedbe"
                       "ee2706cd9080e9796a539db65eb5dfab")
+    # the memoised column text, outside the digest: the same masks at other
+    # m up to 64, empty columns, and more distinct masks than the cache
+    # holds, so that entries are evicted in the middle of a pattern
+    masks = (0, 1, 0b1011, (1 << 12) - 1)
+    patterns = [SupportPattern(m, 4, masks) for m in (12, 13, 33, 64)]
+    patterns += [SupportPattern(m, 3, (0, 0, 0)) for m in (0, 1, 64)]
+    size = _column_text.cache_info().maxsize
+    bits = random.Random(23).getrandbits
+    wide = [bits(64) for _ in range(2 * size)]
+    assert len(set(wide)) == 2 * size
+    patterns += [SupportPattern(64, 4 * size, tuple(wide + wide)),
+                 SupportPattern(64, size + 1, tuple(wide[:size] + [0]))]
+    for p in patterns:
+        assert emit_pattern(p, "json") == _json_dumps_text(p)
