@@ -362,7 +362,8 @@ def _reverify_oracle(pattern: SupportPattern, r: int, prime: int,
     primes = [q for q in primes if q > pattern.size()]
     base = False
     for q in primes:
-        verdict = is_base(pattern, r, q, 10, derive_seed(seed, "reverify-%d" % q))
+        label = "reverify-%d:%s" % (q, emit_pattern(pattern, "json"))
+        verdict = is_base(pattern, r, q, 10, derive_seed(seed, label))
         if verdict.verdict == "base":
             base = True
             break

@@ -1,11 +1,12 @@
 """Exact coefficient fields: prime fields GF(p) and the rationals.
 
-Both back ends expose the same small protocol, so the linear algebra and
-completion code is generic: the constants zero and one, add, mul, neg, inv,
-the elimination row update sub_scaled and parse.  GF(p) elements are plain
-ints in [0, p); rational elements are fractions.Fraction, and str() prints
-either back in the form parse reads.  Floating point is deliberately not
-offered.
+Both back ends expose the same six-member protocol, so the linear algebra
+and completion code is generic: the constants zero and one, reduce (which
+brings the result of Python's +, - and * back into the field: x mod p on
+GF(p), the identity on the rationals), the elimination row update
+sub_scaled, inv and parse.  GF(p) elements are plain ints in [0, p);
+rational elements are fractions.Fraction, and str() prints either back in
+the form parse reads.  Floating point is deliberately not offered.
 """
 
 from __future__ import annotations
@@ -72,14 +73,8 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
+    def reduce(self, x):
+        return x % self.p
 
     def sub_scaled(self, x: list, f, y: list, start: int) -> None:
         """x[j] -= f*y[j] for j >= start, in place (the elimination row update);
@@ -111,14 +106,8 @@ class Rationals:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def reduce(self, x):
+        return x
 
     def sub_scaled(self, x: list, f, y: list, start: int) -> None:
         """x[j] -= f*y[j] for j >= start, in place; zeros of y are skipped."""

@@ -1,65 +1,58 @@
 """Dense exact linear algebra over a coefficient field.
 
 Matrices are lists of row lists of field elements (over GF(p), reduced
-residues).  Everything is plain Gaussian elimination; matrices here are
-desk-scale (tens of rows), so no pivoting strategy beyond "first nonzero" is
-needed and arithmetic stays exact.  rref, det, solve_unique, right_kernel and
-rank share one element-wise core, _eliminate.  The rank oracle runs on the
-packed GF(p) kernel, _eliminate_mod_p: one int per row.
+residues).  Everything is one Gauss–Jordan pass, _eliminate, under rref,
+det, rank, solve_unique and right_kernel; matrices here are desk-scale (tens
+of rows), so no pivoting strategy beyond "first nonzero" is needed and
+arithmetic stays exact.  The rank oracle runs on the packed GF(p) kernel,
+_eliminate_mod_p: one int per row.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 
 def mat_vec(a: list[list], x: list, field) -> list:
-    out = []
-    for row in a:
-        acc = field.zero
-        for v, c in zip(row, x):
-            acc = field.add(acc, field.mul(v, c))
-        out.append(acc)
-    return out
+    return [field.reduce(sum(map(mul, row, x))) for row in a]
 
 
-def _eliminate(a: list[list], field) -> tuple[list[list], list[int], int, list]:
-    """Forward elimination on a working copy.
+def _eliminate(a: list[list], field) -> tuple[list[list], list[int], object]:
+    """Gauss–Jordan elimination on a working copy.
 
-    Returns (echelon matrix, pivot columns, row swaps, pivot inverses): row k
-    holds the k-th pivot at column pivots[k], with zeros below it and inverse
-    inverses[k]; rows past the last pivot are zero.
+    Returns (reduced row echelon form, pivot columns, determinant): row k
+    holds a 1 at column pivots[k] and column pivots[k] is 0 in every other
+    row; rows past the last pivot are zero.  The determinant is that of a
+    when a is square, zero as soon as a column has no pivot.
     """
     m = [list(row) for row in a]
-    if not m:
-        return m, [], 0, []
-    rows, cols = len(m), len(m[0])
-    zero = field.zero
+    zero, reduce = field.zero, field.reduce
     pivots = []
-    inverses = []
-    swaps = 0
+    d = field.one
     r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
+    for c in range(len(m[0]) if m else 0):
+        for i in range(r, len(m)):
             if m[i][c] != zero:
-                piv = i
                 break
-        if piv is None:
+        else:
+            d = zero
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            swaps += 1
-        inv = field.inv(m[r][c])
-        prow = m[r]
-        for i in range(r + 1, rows):
-            f = m[i][c]
-            if f != zero:
-                field.sub_scaled(m[i], field.mul(f, inv), prow, c)
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            d = reduce(-d)
+        pv = m[r][c]
+        d = reduce(d * pv)
+        inv = field.inv(pv)
+        m[r] = prow = [reduce(v * inv) for v in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f != zero and i != r:
+                field.sub_scaled(row, f, prow, c)
         pivots.append(c)
-        inverses.append(inv)
         r += 1
-        if r == rows:
+        if r == len(m):
             break
-    return m, pivots, swaps, inverses
+    return m, pivots, d
 
 
 def _eliminate_mod_p(rows: list[int], limit: int, p: int,
@@ -107,23 +100,13 @@ def _slot_width(p: int, terms: int) -> int:
 
 
 def rank(a: list[list], field) -> int:
-    """Rank of a, by forward elimination on a working copy."""
+    """Rank of a."""
     return len(_eliminate(a, field)[1])
 
 
 def rref(a: list[list], field) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m, pivots, _, inverses = _eliminate(a, field)
-    zero = field.zero
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        # later rows changed row k only right of column c: inverse still holds
-        m[k] = prow = [field.mul(inverses[k], v) for v in m[k]]
-        for i in range(k):
-            f = m[i][c]
-            if f != zero:
-                field.sub_scaled(m[i], f, prow, c)
-    return m, pivots
+    return _eliminate(a, field)[:2]
 
 
 def right_kernel(a: list[list], cols: int, field) -> list[list]:
@@ -136,7 +119,7 @@ def right_kernel(a: list[list], cols: int, field) -> list[list]:
         v = [field.zero] * cols
         v[fc] = field.one
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc]) if red else field.zero
+            v[pc] = field.reduce(-red[r][fc])
         basis.append(v)
     return basis
 
@@ -160,11 +143,5 @@ def solve_unique(a: list[list], b: list, field) -> list | None:
 
 
 def det(a: list[list], field):
-    """Determinant by elimination with row-swap sign tracking; det([]) = 1."""
-    m, pivots, swaps, _ = _eliminate(a, field)
-    if len(pivots) < len(a):
-        return field.zero
-    acc = field.one
-    for k in range(len(a)):
-        acc = field.mul(acc, m[k][k])
-    return field.neg(acc) if swaps % 2 else acc
+    """Determinant of a square matrix; det([]) = 1."""
+    return _eliminate(a, field)[2]

@@ -45,7 +45,7 @@ def mat_mul(a: list[list], b: list[list], field) -> list[list]:
         for col in bt:
             acc = field.zero
             for k in range(n):
-                acc = field.add(acc, field.mul(row[k], col[k]))
+                acc = field.reduce(acc + row[k] * col[k])
             out_row.append(acc)
         out.append(out_row)
     return out

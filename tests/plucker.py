@@ -90,9 +90,8 @@ def section_form(x: list, phi_set, pl: PluckerVector):
     field = pl.field
     acc = field.zero
     for a, i in enumerate(key):
-        minor = pl[key[:a] + key[a + 1:]]
-        term = field.mul(x[i - 1], minor)
-        acc = field.add(acc, field.neg(term) if a % 2 else term)
+        term = x[i - 1] * pl[key[:a] + key[a + 1:]]
+        acc = field.reduce(acc - term if a % 2 else acc + term)
     return acc
 
 
@@ -150,7 +149,7 @@ def sparse_perp(phi: Slmf, pl: PluckerVector) -> SparsePerp:
         col = [zero] * phi.m
         for i, row in enumerate(rows):
             minor = pl[rows[:i] + rows[i + 1:]]
-            col[row - 1] = field.neg(minor) if i % 2 else minor
+            col[row - 1] = field.reduce(-minor) if i % 2 else minor
         columns.append(col)
     matrix = tuple(tuple(col[i] for col in columns) for i in range(phi.m))
     return SparsePerp(phi, matrix)

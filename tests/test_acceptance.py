@@ -51,14 +51,14 @@ def test_criterion_02_section_product_identity_constant_sign():
         rng = random.Random(seed)
         basis = random_matrix(6, 2, f, rng)
         pl = plucker_from_basis(basis, f)
-        prod = f.mul(f.mul(pl[(1, 2)], pl[(2, 4)]), pl[(1, 5)])
+        prod = f.reduce(pl[(1, 2)] * pl[(2, 4)] * pl[(1, 5)])
         val = p_phi(phi, pl)
         if prod == f.zero:
             assert val == f.zero
             continue
         if val == prod:
             signs.add(1)
-        elif val == f.neg(prod):
+        elif val == f.reduce(-prod):
             signs.add(-1)
         else:
             raise AssertionError("seed %d: value off by a non-unit factor" % seed)

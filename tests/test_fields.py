@@ -62,11 +62,12 @@ def test_prime_field_arithmetic_axioms():
     rng = random.Random(1)
     for _ in range(200):
         a, b, c = sample(f, rng), sample(f, rng), sample(f, rng)
-        assert f.add(a, b) == f.add(b, a)
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        assert f.add(a, f.neg(a)) == f.zero
+        assert f.reduce(a + b) == f.reduce(b + a)
+        assert f.reduce(a * f.reduce(b + c)) == f.reduce(f.reduce(a * b)
+                                                         + f.reduce(a * c))
+        assert f.reduce(a + f.reduce(-a)) == f.zero
     for a in range(1, 97):
-        assert f.mul(a, f.inv(a)) == f.one
+        assert f.reduce(a * f.inv(a)) == f.one
 
 
 def test_prime_field_of_reduces_any_integer():
@@ -74,6 +75,10 @@ def test_prime_field_of_reduces_any_integer():
     assert f.parse("-1") == 12
     assert f.parse("26") == 0
     assert f.parse(str(7)) == 7
+    # reduce takes any int, negative or at least p, into [0, p)
+    for x in range(-40, 40):
+        assert f.reduce(x) == x % 13 and 0 <= f.reduce(x) < 13
+    assert f.reduce(-13 ** 20 - 5) == 8 and f.reduce(13 ** 20 + 5) == 5
 
 
 def test_rationals_round_trip_and_inverse():
@@ -85,7 +90,7 @@ def test_rationals_round_trip_and_inverse():
         a = sample(q, rng)
         if a == 0:
             continue
-        assert q.mul(a, q.inv(a)) == q.one
+        assert q.reduce(a * q.inv(a)) == q.one
         assert q.parse(str(a)) == a
 
 
@@ -100,7 +105,7 @@ def test_sub_scaled_matches_elementwise_update(field):
             y = [sample(field, rng) if rng.random() < 0.6 else field.zero
                  for _ in range(length)]
             f = sample(field, rng)
-            expected = x[:start] + [field.add(a, field.neg(field.mul(f, b)))
+            expected = x[:start] + [field.reduce(a - f * b)
                                     for a, b in zip(x[start:], y[start:])]
             before = list(y)
             got = list(x)
@@ -108,3 +113,11 @@ def test_sub_scaled_matches_elementwise_update(field):
             assert got == expected
             assert all(type(a) is type(b) for a, b in zip(got, expected))
             assert y == before
+            # reduce lands in the field's representation: [0, p) on GF(p),
+            # the argument itself, type included, on the rationals
+            for v in x + [f * b - a for a, b in zip(x, y)] + [-1, 0]:
+                if isinstance(field, PrimeField):
+                    assert field.reduce(v) == v % field.p
+                    assert 0 <= field.reduce(v) < field.p
+                else:
+                    assert field.reduce(v) is v

@@ -374,8 +374,8 @@ def test_relaxed_nonbase_is_dependent_by_two_minor_fills(relaxed_nonbase):
                 minor = [[x[a - 1][b - 1] for b in cols] for a in rows]
                 minor[2][2] = 0
                 pivot = [row[:2] for row in minor[:2]]
-                filled = field.mul(field.neg(linalg.det(minor, field)),
-                                   field.inv(linalg.det(pivot, field)))
+                filled = field.reduce(-linalg.det(minor, field)
+                                      * field.inv(linalg.det(pivot, field)))
                 assert filled == x[i - 1][j - 1]
 
 
