@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -25,8 +24,8 @@ from .errors import CapacityError, ContractError
 from .fields import DEFAULT_PRIME, prev_prime
 from .oracle import DEFAULT_TRIALS, _check_trials_and_prime, is_base
 from .partition import partition_search
-from .patterns import (SupportPattern, _bits_of, emit_pattern, reduce_pattern,
-                       transpose)
+from .patterns import (SupportPattern, _bits_of, _indicator_rows, emit_pattern,
+                       reduce_pattern, transpose)
 from .seeding import derive_seed
 from .slmf import RelaxedParams, is_relaxed_slmf
 
@@ -51,8 +50,7 @@ def canonical_form(pattern: SupportPattern) -> SupportPattern:
     if m > CANON_ROW_CEILING:
         raise CapacityError("m=%d exceeds the canonicalization ceiling %d"
                             % (m, CANON_ROW_CEILING))
-    row_bits = [tuple((mask >> i) & 1 for mask in pattern.cols)
-                for i in range(m)]
+    row_bits = _indicator_rows(m, pattern.cols)
     # state: (unused row mask, column prefix keys in input column order)
     states = {((1 << m) - 1, (0,) * n)}
     for _ in range(m):
@@ -122,7 +120,7 @@ def enumerate_patterns(m: int, n: int, r: int,
 
     filter 'base_size_and_mindeg' keeps size = r(m+n-r) and every row degree
     and column size at least r+1; 'all' imposes nothing.  col_size optionally
-    pins every column support size.
+    pins every column support size, in 0..m.
 
     The search walks the non-decreasing sequences of column masks in
     lexicographic order, so it meets each orbit first at the orbit's
@@ -141,6 +139,8 @@ def enumerate_patterns(m: int, n: int, r: int,
     """
     _check_filter(filter)
     _check_grid(m, n, r)
+    if col_size is not None and not 0 <= col_size <= m:
+        raise ContractError("col_size must be in 0..%d, got %d" % (m, col_size))
     filtered = filter == "base_size_and_mindeg"
     target = r * (m + n - r) if filtered else None
     candidates = _column_candidates(m, r, filter, col_size)
@@ -349,10 +349,6 @@ class CensusReport:
     counterexamples: tuple[dict, ...]
 
 
-def _classify_job(args):
-    return classify_pattern(*args)
-
-
 def _reverify_oracle(pattern: SupportPattern, r: int, prime: int,
                      seed: int) -> tuple[bool, list[int]]:
     """is_base at prime and the next two primes down, skipping p <= |Omega|."""
@@ -373,8 +369,7 @@ def _reverify_oracle(pattern: SupportPattern, r: int, prime: int,
 def verify_conjecture(m: int, n: int, r: int, prime: int = DEFAULT_PRIME,
                       trials: int = DEFAULT_TRIALS, seed: int = 0,
                       col_size: int | None = None,
-                      filter: str = "base_size_and_mindeg",
-                      jobs: int = 1) -> CensusReport:
+                      filter: str = "base_size_and_mindeg") -> CensusReport:
     """Census the grid and check both directions of the equivalence.
 
     Consistent means: relaxed (r,r,m) = partition existence on every row, a
@@ -383,21 +378,12 @@ def verify_conjecture(m: int, n: int, r: int, prime: int = DEFAULT_PRIME,
     trials at up to 3 primes, and survive only if still inconsistent.
     """
     _check_trials_and_prime(trials, prime)
-    if jobs < 1:
-        raise ContractError("jobs must be >= 1")
+    _check_grid(m, n, r)
+    if r > min(m, n):
+        raise ContractError("need r <= min(m, n), got m=%d n=%d r=%d" % (m, n, r))
+    # drained before any classification: bench/spans.py times the two apart
     patterns = list(enumerate_patterns(m, n, r, filter=filter, col_size=col_size))
-    args = [(p, r, prime, trials, seed) for p in patterns]
-    if jobs > 1 and len(patterns) > 1:
-        # a fork pool starts every worker at once; the rows do not depend on
-        # the worker count, so more workers than patterns or cores buy nothing
-        workers = min(jobs, len(patterns), os.cpu_count() or 1)
-        # imported here: the pool pulls in multiprocessing, which serial
-        # callers never need
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_classify_job, args, chunksize=8))
-    else:
-        rows = [_classify_job(a) for a in args]
+    rows = [classify_pattern(p, r, prime, trials, seed) for p in patterns]
     fixed_rows: list[CensusRow] = []
     counterexamples: list[dict] = []
     for row in rows:

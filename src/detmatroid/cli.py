@@ -137,8 +137,7 @@ CENSUS_FIELDS = ["m", "n", "r", "columns", "is_relaxed_rrm", "has_partition",
 def cmd_verify_conjecture(args) -> int:
     report = verify_conjecture(args.m, args.n, args.r, prime=args.prime,
                                trials=args.trials, seed=args.seed,
-                               col_size=args.col_size, filter=args.filter,
-                               jobs=args.jobs)
+                               col_size=args.col_size, filter=args.filter)
     if args.format == "json":
         _emit_json({
             "m": args.m,
@@ -238,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pin every column support size")
     p.add_argument("--filter", choices=["base_size_and_mindeg", "all"],
                    default="base_size_and_mindeg")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for classification")
+    p.add_argument("--jobs", type=int, choices=[1], default=1,
+                   help="accepted for compatibility: the census runs in "
+                        "one process")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("crosscheck", help="compare the rank oracle with the "

@@ -186,19 +186,10 @@ def _parse_json(text: str) -> SupportPattern:
     for j, col in enumerate(columns, start=1):
         if not isinstance(col, list):
             raise ParseError("columns[%d]: expected a list" % j)
-        mask = 0
-        for k, entry in enumerate(col, start=1):
-            if not isinstance(entry, int) or isinstance(entry, bool):
-                raise ParseError("columns[%d][%d]: expected an integer" % (j, k))
-            if not 1 <= entry <= m:
-                raise ParseError(
-                    "columns[%d][%d]: index %d out of range 1..%d" % (j, k, entry, m)
-                )
-            bit = 1 << (entry - 1)
-            if mask & bit:
-                raise ParseError("columns[%d]: duplicate row index %d" % (j, entry))
-            mask |= bit
-        cols.append(mask)
+        try:
+            cols.append(_bits_of(col, m, "columns[%d]" % j))
+        except ContractError as exc:
+            raise ParseError(str(exc)) from None
     return SupportPattern(m, n, tuple(cols))
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -153,6 +152,9 @@ def test_enumerate_rejects_unknown_filter_and_capacity():
         list(enumerate_patterns(2, 2, 1, filter="bogus"))
     with pytest.raises(CapacityError):
         list(enumerate_patterns(7, 7, 2))
+    for col_size in (-1, 5):
+        with pytest.raises(ContractError, match="col_size must be in 0..4"):
+            list(enumerate_patterns(4, 4, 2, col_size=col_size))
 
 
 def _enumerate_patterns_by_scan(m, n, r, filter="base_size_and_mindeg",
@@ -311,61 +313,18 @@ def test_census_5_5_2_finds_one_stable_counterexample(reduced_base):
     assert len(set(info["reverified"]["primes"])) == 3
 
 
-@pytest.mark.parametrize("m, n, r, filter", [
-    (5, 5, 2, "base_size_and_mindeg"),
-    (5, 6, 2, "base_size_and_mindeg"),
-    (6, 5, 3, "base_size_and_mindeg"),
-    (3, 3, 1, "all"),
-], ids=["5x5r2", "5x6r2", "6x5r3", "3x3r1-all"])
-def test_census_parallel_jobs_match_serial(m, n, r, filter):
-    serial = verify_conjecture(m, n, r, filter=filter, jobs=1)
-    parallel = verify_conjecture(m, n, r, filter=filter, jobs=2)
-    assert serial.rows == parallel.rows
-    assert serial.consistent == parallel.consistent
-    assert serial.counterexamples == parallel.counterexamples
-
-
-def test_census_worker_count_is_capped(monkeypatch):
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    # verify_conjecture imports the pool from concurrent.futures at call time
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    serial = verify_conjecture(5, 5, 2)
-    assert len(serial.rows) == 5
-    # capped by the cores, the job count, the 5 patterns, and one core when
-    # the core count is unknown
-    for cores, jobs, workers in [(4, 100_000, 4), (4, 3, 3), (64, 100_000, 5),
-                                 (None, 2, 1)]:
-        monkeypatch.setattr(census.os, "cpu_count", lambda: cores)
-        assert verify_conjecture(5, 5, 2, jobs=jobs).rows == serial.rows
-        assert started.pop() == workers
-    assert started == []
-
-
 def test_importing_the_cli_loads_no_process_pool():
-    # only verify_conjecture with jobs > 1 imports the pool, and the pool
-    # pulls in multiprocessing
-    proc = run_python("-c", "import sys, detmatroid, detmatroid.cli; print("
+    # the census runs in one process: neither importing the CLI nor running
+    # a census pulls in multiprocessing or a process pool
+    proc = run_python("-c", "import sys, detmatroid, detmatroid.cli; "
+                      "detmatroid.verify_conjecture(5, 5, 2); print("
                       "[m for m in ('concurrent.futures.process', "
                       "'multiprocessing') if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("m, n, r", [(3, 3, 1), (3, 4, 2)])
+@pytest.mark.parametrize("m, n, r", [(3, 3, 1), (3, 4, 2), (3, 3, 3)])
 def test_census_filter_all_is_consistent(m, n, r):
     # unfiltered grids hold wrong-size orbits, some reducing to nothing and
     # some to patterns too small to classify: none of them is a base

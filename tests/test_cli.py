@@ -293,11 +293,8 @@ def test_certify_refusals_are_named_by_the_relaxed_check(tmp_path, capsys,
     ("certify", ["--prime", "9"], "modulus 9 is not prime"),
     ("verify-conjecture", ["--trials", "0"], "trials must be >= 1"),
     ("verify-conjecture", ["--prime", "9"], "modulus 9 is not prime"),
-    ("verify-conjecture", ["--jobs", "0"], "jobs must be >= 1"),
-    ("verify-conjecture", ["--jobs", "-3"], "jobs must be >= 1"),
 ], ids=["certify-trials-0", "certify-prime-4", "certify-prime-9",
-        "verify-trials-0", "verify-prime-9", "verify-jobs-0",
-        "verify-jobs-negative"])
+        "verify-trials-0", "verify-prime-9"])
 def test_oracle_arguments_are_refused_before_any_stage(tmp_path, capsys,
                                                        command, extra, message):
     if command == "certify":
@@ -308,8 +305,7 @@ def test_oracle_arguments_are_refused_before_any_stage(tmp_path, capsys,
     code, out, err = _run(capsys, argv + extra)
     assert (code, out) == (2, "")
     assert err.startswith("error: %s" % message) and err.count("\n") == 1
-    # with the default trials, prime and jobs: a size negative, an empty
-    # census
+    # with the default trials and prime: a size negative, an empty census
     code, out, _ = _run(capsys, argv)
     assert code == default[0] and default[1] in out
 
@@ -757,13 +753,37 @@ def test_seed_flag_reproducibility(tmp_path, capsys):
         assert "unrecognized arguments: --seed 11" in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["crosscheck", "--m", "0", "--n", "3", "--r", "1"],
-    ["crosscheck", "--m", "0", "--n", "1", "--r", "1"],
-    ["verify-conjecture", "--m", "3", "--n", "3", "--r", "0"],
-], ids=["crosscheck-0x3", "crosscheck-0x1", "verify-conjecture-r0"])
-def test_degenerate_grid_exits_two_naming_its_cause(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["crosscheck", "--m", "0", "--n", "3", "--r", "1"], "need m, n, r >= 1"),
+    (["crosscheck", "--m", "0", "--n", "1", "--r", "1"], "need m, n, r >= 1"),
+    (["verify-conjecture", "--m", "3", "--n", "3", "--r", "0"],
+     "need m, n, r >= 1"),
+    (["verify-conjecture", "--m", "2", "--n", "4", "--r", "3", "--filter", "all"],
+     "need r <= min(m, n), got m=2 n=4 r=3"),
+    (["verify-conjecture", "--m", "3", "--n", "3", "--r", "5", "--filter", "all"],
+     "need r <= min(m, n), got m=3 n=3 r=5"),
+    (["verify-conjecture", "--m", "4", "--n", "4", "--r", "2", "--col-size", "-1"],
+     "col_size must be in 0..4, got -1"),
+], ids=["crosscheck-0x3", "crosscheck-0x1", "verify-conjecture-r0",
+        "verify-conjecture-r-above-m", "verify-conjecture-r-above-both",
+        "verify-conjecture-col-size-negative"])
+def test_degenerate_grid_exits_two_naming_its_cause(capsys, argv, message):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: need m, n, r >= 1")
+    assert err.startswith("error: %s" % message)
     assert "internal error" not in err
+
+
+def test_verify_conjecture_accepts_only_one_job(capsys):
+    # --jobs stays for old argvs: 1 is the census unchanged, and any other
+    # value is refused by argparse before any work
+    argv = ["verify-conjecture", "--m", "5", "--n", "5", "--r", "2"]
+    for jobs in ("0", "2", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", jobs])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--jobs" in captured.err
+    # (5,5,2) holds a finding, so both exit 1
+    code, out, _ = _run(capsys, argv)
+    assert code == 1 and _run(capsys, argv + ["--jobs", "1"])[:2] == (code, out)

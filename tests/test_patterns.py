@@ -156,6 +156,10 @@ def test_parse_json_errors():
         parse_pattern('{"m": 2, "n": 1, "columns": [[3]]}')
     with pytest.raises(ParseError):
         parse_pattern('{"m": 2, "n": 2, "columns": [[1]]}')
+    # a bool, a float and a repeated index in a column are refused by name
+    for col in ("[true]", "[1.0]", "[2, 2]"):
+        with pytest.raises(ParseError, match=r"^columns\[1\]: "):
+            parse_pattern('{"m": 2, "n": 1, "columns": [%s]}' % col)
 
 
 def test_transpose_is_an_involution():
