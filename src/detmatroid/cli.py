@@ -22,7 +22,7 @@ import traceback
 from pathlib import Path
 
 from .census import certify, known_facts_crosscheck, verify_conjecture
-from .errors import DetmatroidError, GenericityError, ParseError
+from .errors import ContractError, DetmatroidError, GenericityError, ParseError
 from .fields import DEFAULT_PRIME, PrimeField, Rationals
 from .grassmann import complete_matrix
 from .oracle import DEFAULT_TRIALS
@@ -135,6 +135,9 @@ CENSUS_FIELDS = ["m", "n", "r", "columns", "is_relaxed_rrm", "has_partition",
 
 
 def cmd_verify_conjecture(args) -> int:
+    if args.jobs != 1:
+        raise ContractError("jobs must be 1, got %d: the census runs in one "
+                            "process" % args.jobs)
     report = verify_conjecture(args.m, args.n, args.r, prime=args.prime,
                                trials=args.trials, seed=args.seed,
                                col_size=args.col_size, filter=args.filter)
@@ -237,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pin every column support size")
     p.add_argument("--filter", choices=["base_size_and_mindeg", "all"],
                    default="base_size_and_mindeg")
-    p.add_argument("--jobs", type=int, choices=[1], default=1,
-                   help="accepted for compatibility: the census runs in "
-                        "one process")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility, as 1 only: the census "
+                        "runs in one process")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("crosscheck", help="compare the rank oracle with the "

@@ -293,8 +293,11 @@ def test_certify_refusals_are_named_by_the_relaxed_check(tmp_path, capsys,
     ("certify", ["--prime", "9"], "modulus 9 is not prime"),
     ("verify-conjecture", ["--trials", "0"], "trials must be >= 1"),
     ("verify-conjecture", ["--prime", "9"], "modulus 9 is not prime"),
+    ("verify-conjecture", ["--jobs", "0"], "jobs must be 1, got 0"),
+    ("verify-conjecture", ["--jobs", "-3"], "jobs must be 1, got -3"),
 ], ids=["certify-trials-0", "certify-prime-4", "certify-prime-9",
-        "verify-trials-0", "verify-prime-9"])
+        "verify-trials-0", "verify-prime-9", "verify-jobs-0",
+        "verify-jobs-negative"])
 def test_oracle_arguments_are_refused_before_any_stage(tmp_path, capsys,
                                                        command, extra, message):
     if command == "certify":
@@ -305,7 +308,8 @@ def test_oracle_arguments_are_refused_before_any_stage(tmp_path, capsys,
     code, out, err = _run(capsys, argv + extra)
     assert (code, out) == (2, "")
     assert err.startswith("error: %s" % message) and err.count("\n") == 1
-    # with the default trials and prime: a size negative, an empty census
+    # with the default trials, prime and jobs: a size negative, an empty
+    # census
     code, out, _ = _run(capsys, argv)
     assert code == default[0] and default[1] in out
 
@@ -776,14 +780,11 @@ def test_degenerate_grid_exits_two_naming_its_cause(capsys, argv, message):
 
 def test_verify_conjecture_accepts_only_one_job(capsys):
     # --jobs stays for old argvs: 1 is the census unchanged, and any other
-    # value is refused by argparse before any work
+    # value is refused before any work (0 and -3 are cases of
+    # test_oracle_arguments_are_refused_before_any_stage)
     argv = ["verify-conjecture", "--m", "5", "--n", "5", "--r", "2"]
-    for jobs in ("0", "2", "-3"):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--jobs", jobs])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--jobs" in captured.err
+    assert _run(capsys, argv + ["--jobs", "2"]) == (
+        2, "", "error: jobs must be 1, got 2: the census runs in one process\n")
     # (5,5,2) holds a finding, so both exit 1
     code, out, _ = _run(capsys, argv)
     assert code == 1 and _run(capsys, argv + ["--jobs", "1"])[:2] == (code, out)
