@@ -28,7 +28,8 @@ def complete_matrix(
     phi, restricted to phi, span pi_phi(S), an r-space for generic data, so
     the left kernel of that (r+1) x k block is a line orthogonal to it.  Any
     other kernel dimension names phi as not generic.  Columns contained in
-    fewer than r observed supports contribute nothing.
+    fewer than r observed supports give no normal; if fewer than m-r are
+    left, no data completes, and ContractError names the first such phi.
     Stage 2 intersects the normals' orthogonal complements; the kernel must
     have dimension exactly r and is taken as a basis B of S.  Stage 3 solves
     pi_omega_j(B) c = pi_omega_j(x_j) for each column and returns B c.
@@ -50,7 +51,7 @@ def complete_matrix(
 
     phi_masks = sorted({mask for phi in cert.induced for mask in phi.cols},
                        key=_rows_of)
-    normals = []
+    normals, short = [], None
     for kmask in phi_masks:
         key = _rows_of(kmask)
         eligible = [
@@ -58,7 +59,8 @@ def complete_matrix(
             if kmask & ~pattern.cols[j - 1] == 0
         ]
         if len(eligible) < r:
-            continue  # underdetermined locally; the kernel check gates this
+            short = short or (list(key), len(eligible))
+            continue
         rows = [[observed[(i, j)] for i in key] for j in eligible]
         line = linalg.right_kernel(rows, r + 1, field)
         if len(line) != 1:
@@ -72,6 +74,11 @@ def complete_matrix(
             normal[i - 1] = line[0][a]
         normals.append(normal)
 
+    if len(normals) < pattern.m - r:
+        raise ContractError(
+            "stage 1 finds %d of the m-r=%d normals it needs: certificate "
+            "column %s lies in %d observed columns, fewer than r=%d"
+            % (len(normals), pattern.m - r, *short, r))
     kernel = linalg.right_kernel(normals, pattern.m, field)
     if len(kernel) != r:
         raise GenericityError(

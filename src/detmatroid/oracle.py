@@ -23,6 +23,8 @@ from .patterns import SupportPattern, _row_masks
 from .seeding import derive_seed
 
 DEFAULT_TRIALS = 3
+# measured break-even: is_base uses the complement if this*(m-r)(n-r) < |Omega|
+COMPLEMENT_RATIO = 3
 
 
 def _draws(seed: int, p: int, count: int) -> list[int]:
@@ -152,6 +154,42 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     return total + len(kernel(schur, width, p, w)[0])
 
 
+def _complement_rank(pattern: SupportPattern, r: int, p: int,
+                     seed: int) -> int:
+    """The Jacobian's rank at a random point, read off the complement.
+
+    At (L, R) of rank r the image of J is {A*R + L*B}, whose orthogonal
+    complement is {P*Z*Q^T}, with P (m x a, a = m-r) and Q (n x b, b = n-r)
+    spanning the null spaces of L^T and R; entry (i,j) of P*Z*Q^T is
+    <P[i,:] (x) Q[j,:], Z>.  So rank J = |Omega| - ab + the rank of the
+    rows P[i,:] (x) Q[j,:] of the cells (i,j) outside Omega.  Every minor of
+    those rows is an integer polynomial in P and Q, so their rank at any
+    point is at most the generic rank, which the identity gives at a generic
+    (L, R), whose null spaces are generic: the value never exceeds the
+    generic Jacobian rank, so the counting ceiling stays a sound stop and
+    |Omega| proves independence.  Entries have degree 2, so a trial misses
+    with probability at most 2ab/p < |Omega|/p on the patterns is_base
+    routes here, which its refusal of p <= |Omega| covers.
+
+    P is drawn row by row, then Q, through _draws.  Cell (i,j)'s row holds
+    P[i,k]*Q[j,l] in slot k*b + l: P[i,:] packed at a stride of b slots
+    times the packed Q[j,:].  A slot gathers that product and ab updates,
+    so w = linalg._slot_width(p, ab + 1).
+    """
+    m, n, size = pattern.m, pattern.n, pattern.size()
+    a, b = m - r, n - r
+    if not a * b:
+        return size
+    draws = _draws(seed, p, a * m + b * n)
+    w = linalg._slot_width(p, a * b + 1)
+    left = [_pack(draws[a * i:a * i + a], w * b) for i in range(m)]
+    rows = []
+    for j, col in enumerate(pattern.cols):
+        tail = _pack(draws[a * m + b * j:a * m + b * j + b], w)
+        rows.extend(left[i] * tail for i in range(m) if not col >> i & 1)
+    return size - a * b + len(linalg._eliminate_mod_p(rows, a * b, p, w)[0])
+
+
 def _rank_ceiling(pattern: SupportPattern, r: int) -> int:
     """An upper bound on the generic rank of the pattern's Jacobian, by
     counting: the least of |Omega|, r(m+n-r), sum_j min(|omega_j|, r) +
@@ -226,13 +264,14 @@ def is_base(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     """Classify the pattern: base / not_base at size r(m+n-r), else
     independent / dependent.
 
-    Takes the max of jacobian_rank over at most `trials` trials (rank is
-    never overestimated), stopping early once the rank reaches the counting
+    Takes the max over at most `trials` trials (rank is never
+    overestimated), stopping early once the rank reaches the counting
     ceiling _rank_ceiling, which no trial can exceed.  So a ceiling below
     |Omega| makes 'dependent'/'not_base' exact; at base size that happens
-    exactly when some row or column has fewer than r cells.  A trial misses
-    the generic rank with probability at most |Omega|/p, so a prime
-    p <= |Omega| is refused with ContractError.
+    exactly when some row or column has fewer than r cells.  Each trial is
+    jacobian_rank, or _complement_rank when COMPLEMENT_RATIO * (m-r)(n-r) <
+    |Omega|.  A trial misses the generic rank with probability at most
+    |Omega|/p, so a prime p <= |Omega| is refused with ContractError.
     """
     m, n = pattern.m, pattern.n
     if not 0 <= r <= min(m, n):
@@ -240,11 +279,13 @@ def is_base(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     size = pattern.size()
     _check_trials_and_prime(trials, p, size)
     dim = r * (m + n - r)
+    trial = (_complement_rank if COMPLEMENT_RATIO * (m - r) * (n - r) < size
+             else jacobian_rank)
     best = 0
     ran = 0
     for t in range(trials):
         ran += 1
-        rk = jacobian_rank(pattern, r, p, derive_seed(seed, "jacobian-trial-%d" % t))
+        rk = trial(pattern, r, p, derive_seed(seed, "jacobian-trial-%d" % t))
         if rk > best:
             best = rk
         # the ceiling is at most size, and is only counted on a shortfall

@@ -536,6 +536,28 @@ def test_complete_degenerate_observations_exit_one(tmp_path, capsys):
                    "span an r-space (phi=[1, 2, 4])\n")
 
 
+def test_complete_names_a_certificate_stage_1_cannot_use(tmp_path, capsys):
+    # no certificate column of this seeded certified base lies in r observed
+    # columns, so stage 1 finds no normal: exit 2 with the column named, not
+    # exit 1 with "not generic"
+    pattern = draw_base_size(random.Random(7), 5, 5, 2, True)
+    ppath = tmp_path / "pattern.txt"
+    ppath.write_text(emit_pattern(pattern))
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(partition_search(pattern, 2).to_json())
+    x = random_rank_r(5, 5, 2, seed=1)
+    opath = tmp_path / "obs.csv"
+    opath.write_text("".join("%d,%d,%d\n" % (i, j, x[i - 1][j - 1])
+                             for (i, j) in pattern.cells()))
+    code, out, err = _run(capsys, ["complete", "--pattern", str(ppath),
+                                   "--r", "2", "--certificate", str(cpath),
+                                   "--observations", str(opath)])
+    assert (code, out) == (2, "")
+    assert err == ("error: stage 1 finds 0 of the m-r=3 normals it needs: "
+                   "certificate column [1, 2, 3] lies in 1 observed columns, "
+                   "fewer than r=2\n")
+
+
 def _complete_corpus():
     """Observed data on FULLY_REDUCIBLE_BASE_6X5 at r = 2, with extra argv:
     generic rank-2 data over GF(2^31 - 1) at seeds 0..19, rank-2 data with

@@ -9,7 +9,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import FULLY_REDUCIBLE_BASE_6X5, make_pattern, mat_transpose
+from conftest import (FULLY_REDUCIBLE_BASE_6X5, draw_base_size, make_pattern,
+                      mat_transpose)
 from dense import mat_mul, random_matrix, random_rank_r
 from detmatroid import (ContractError, DEFAULT_PRIME, GenericityError,
                         PrimeField, Rationals, complete_matrix,
@@ -173,6 +174,23 @@ def test_completion_flags_degenerate_observations_as_not_generic():
     with pytest.raises(GenericityError) as info:
         complete_matrix(pattern, 2, cert, _observe(pattern, x), field)
     assert info.value.phi is not None
+
+
+def test_completion_names_a_certificate_column_stage_1_cannot_use():
+    # a seeded certified 5x5 r=2 base on which every certificate column
+    # lies in fewer than r observed columns: stage 1 finds none of the m-r
+    # normals, so no data completes and the refusal is a contract error
+    # naming the first such column, not a call to resample
+    pattern = draw_base_size(random.Random(7), 5, 5, 2, True)
+    cert = partition_search(pattern, 2)
+    field = PrimeField(DEFAULT_PRIME)
+    for seed in range(3):
+        x = random_rank_r(5, 5, 2, seed=seed)
+        with pytest.raises(ContractError) as info:
+            complete_matrix(pattern, 2, cert, _observe(pattern, x), field)
+        assert str(info.value) == (
+            "stage 1 finds 0 of the m-r=3 normals it needs: certificate "
+            "column [1, 2, 3] lies in 1 observed columns, fewer than r=2")
 
 
 def test_certified_patterns_observe_each_phi_in_at_most_r_columns():

@@ -8,13 +8,15 @@ from itertools import combinations
 
 import pytest
 
-from conftest import assert_case_digests, case_digest, make_pattern
+from conftest import (assert_case_digests, case_digest, make_pattern,
+                      mat_transpose)
 from dense import random_matrix, random_rank_r
 from detmatroid import (DEFAULT_PRIME, ContractError, PrimeField,
                         SupportPattern, is_base, jacobian_rank, linalg,
-                        prev_prime, transpose)
+                        oracle, prev_prime, transpose)
 from detmatroid.linalg import _eliminate, rank
 from detmatroid.oracle import _draws, _rank_ceiling
+from detmatroid.seeding import derive_seed
 
 
 def _jacobian_rank_dense(pattern, r, p=DEFAULT_PRIME, seed=0):
@@ -25,11 +27,16 @@ def _jacobian_rank_dense(pattern, r, p=DEFAULT_PRIME, seed=0):
     of R."""
     if r == 0 or pattern.size() == 0:
         return 0
-    m, n = pattern.m, pattern.n
     field = PrimeField(p)
     rng = random.Random(seed)
-    left = random_matrix(m, r, field, rng)
-    right = random_matrix(r, n, field, rng)
+    left = random_matrix(pattern.m, r, field, rng)
+    right = random_matrix(r, pattern.n, field, rng)
+    return _dense_jacobian_rank_at(pattern, left, right, field)
+
+
+def _dense_jacobian_rank_at(pattern, left, right, field):
+    """Rank of the dense Jacobian of the observed entries of left*right."""
+    m, n, r = pattern.m, pattern.n, len(right)
     jac = []
     for i, j in pattern.cells():
         row = [0] * (m * r + r * n)
@@ -38,6 +45,17 @@ def _jacobian_rank_dense(pattern, r, p=DEFAULT_PRIME, seed=0):
             row[m * r + k * n + (j - 1)] = left[i - 1][k]
         jac.append(row)
     return len(_eliminate(jac, field)[1])
+
+
+def _dense_complement_rank(pattern, p_basis, q_basis, field):
+    """Rank of the rows p (x) q over the cells outside the pattern, for p
+    running over the m-vectors p_basis and q over the n-vectors q_basis."""
+    cells = set(pattern.cells())
+    rows = [[field.reduce(pv[i - 1] * qv[j - 1]) for pv in p_basis
+             for qv in q_basis]
+            for i in range(1, pattern.m + 1) for j in range(1, pattern.n + 1)
+            if (i, j) not in cells]
+    return rank(rows, field)
 
 
 def _recording(monkeypatch):
@@ -213,6 +231,138 @@ def test_jacobian_rank_slot_widths_follow_the_docstring(monkeypatch):
                 assert w == 2 * p.bit_length() + (r + width).bit_length() + 1
 
 
+def test_complement_identity_holds_at_shared_points():
+    # at every (L, R) the image of J is orthogonal to {P*Z*Q^T}, with P and
+    # Q null-space bases of L^T and R, whatever the ranks of L and R, so
+    # rank J = |Omega| + rank{P[i,:] (x) Q[j,:] : (i,j) not in Omega} -
+    # dim P * dim Q.  Small primes make singular L or R and deficient
+    # Jacobians common
+    rng = random.Random(61)
+    seen = {"full": 0, "deficient": 0, "singular L or R": 0}
+    for t in range(1000):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        r = rng.randint(0, min(m, n))
+        field = PrimeField((2, 3, 7, DEFAULT_PRIME)[t % 4])
+        pattern = SupportPattern(m, n, tuple(rng.getrandbits(m)
+                                             for _ in range(n)))
+        left = random_matrix(m, r, field, rng)
+        right = random_matrix(r, n, field, rng)
+        p_basis = linalg.right_kernel(mat_transpose(left), m, field)
+        q_basis = linalg.right_kernel(right, n, field)
+        got = _dense_jacobian_rank_at(pattern, left, right, field)
+        assert got == (pattern.size() - len(p_basis) * len(q_basis)
+                       + _dense_complement_rank(pattern, p_basis, q_basis,
+                                                field)), (pattern, r, field.p)
+        seen["full" if got == pattern.size() else "deficient"] += 1
+        seen["singular L or R"] += (len(p_basis) > m - r
+                                    or len(q_basis) > n - r)
+    assert min(seen.values()) >= 50, seen
+
+
+def _routed(pattern, r):
+    """is_base's rule for deciding a pattern on its complement."""
+    return 3 * (pattern.m - r) * (pattern.n - r) < pattern.size()
+
+
+def test_routed_is_base_matches_the_dense_reference():
+    # patterns that is_base decides on the complement, 2x2 to 9x9 and of
+    # every size up to base size + 2, against the dense Jacobian at the
+    # first trial's seed: both give the generic rank, each missing it with
+    # probability below |Omega|/p < 4e-8 at p = 2^31 - 1
+    rng = random.Random(67)
+    verdicts = {}
+    while sum(verdicts.values()) < 3000:
+        m, n = rng.randint(2, 9), rng.randint(2, 9)
+        r = rng.randint(1, min(m, n))
+        size = rng.randint(1, min(m * n, r * (m + n - r) + 2))
+        cols = [0] * n
+        for c in rng.sample(range(m * n), size):
+            cols[c % n] |= 1 << c // n
+        pattern = SupportPattern(m, n, tuple(cols))
+        if not _routed(pattern, r):
+            continue
+        seed = rng.randrange(2 ** 32)
+        got = is_base(pattern, r, seed=seed)
+        want = _jacobian_rank_dense(pattern, r, DEFAULT_PRIME,
+                                    derive_seed(seed, "jacobian-trial-0"))
+        assert got.rank_observed == want, (pattern, r, seed)
+        verdicts[got.verdict] = verdicts.get(got.verdict, 0) + 1
+    positive = verdicts.get("base", 0) + verdicts.get("independent", 0)
+    assert 100 <= positive <= 2900, verdicts
+
+
+def test_is_base_routes_to_the_complement_by_the_ratio(monkeypatch):
+    # every trial of a pattern goes to _complement_rank exactly when
+    # 3(m-r)(n-r) < |Omega|, r = min(m,n) included, and never at r = 0 or on
+    # an empty pattern
+    calls = {"complement": 0, "jacobian": 0}
+
+    def counting(name, trial):
+        def counted(*args):
+            calls[name] += 1
+            return trial(*args)
+        return counted
+
+    monkeypatch.setattr(oracle, "_complement_rank",
+                        counting("complement", oracle._complement_rank))
+    monkeypatch.setattr(oracle, "jacobian_rank",
+                        counting("jacobian", oracle.jacobian_rank))
+    rng = random.Random(71)
+    routed = top = 0
+    for t in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        r = (min(m, n), 0, rng.randint(0, min(m, n)))[min(t % 4, 2)]
+        cols = tuple(0 if t % 10 == 9 else rng.getrandbits(m)
+                     for _ in range(n))
+        pattern = SupportPattern(m, n, cols)
+        before = dict(calls)
+        ran = is_base(pattern, r, trials=2, seed=t).trials
+        took = {k: calls[k] - before[k] for k in calls}
+        if _routed(pattern, r):
+            assert took == {"complement": ran, "jacobian": 0}, (pattern, r)
+            assert r > 0 and pattern.size() > 0
+            routed += 1
+            top += r == min(m, n)
+        else:
+            assert took == {"complement": 0, "jacobian": ran}, (pattern, r)
+    assert 50 <= routed <= 350 and top >= 50, (routed, top)
+
+
+def _top_draws(seed, p, count):
+    """Seeded draws from the top three values of [0, p)."""
+    rng = random.Random(seed)
+    return [p - 1 - rng.randrange(min(p - 1, 3)) for _ in range(count)]
+
+
+def test_complement_rank_slot_width_holds_at_the_top_of_the_range(
+        monkeypatch):
+    # with P and Q drawn near p - 1, every slot enters the kernel near
+    # (p-1)^2: the packed rank must equal the dense rank of the same rows,
+    # and the width must keep (ab + 1) * p^2, the kernel's bound for ab
+    # updates of entries below p^2, under 2^(w-1)
+    monkeypatch.setattr(oracle, "_draws", _top_draws)
+    calls = _recording(monkeypatch)
+    rng = random.Random(73)
+    for p in (3, 31, 2 ** 31 - 1):
+        field = PrimeField(p)
+        for _ in range(40):
+            m, n = rng.randint(2, 10), rng.randint(2, 10)
+            r = rng.randint(0, min(m, n) - 1)
+            a, b = m - r, n - r
+            pattern = SupportPattern(m, n, tuple(rng.getrandbits(m)
+                                                 for _ in range(n)))
+            seed = rng.randrange(2 ** 32)
+            draws = _top_draws(seed, p, a * m + b * n)
+            p_basis = [draws[k:a * m:a] for k in range(a)]
+            q_basis = [draws[a * m + l::b] for l in range(b)]
+            del calls[:]
+            got = oracle._complement_rank(pattern, r, p, seed)
+            assert got == pattern.size() - a * b + _dense_complement_rank(
+                pattern, p_basis, q_basis, field), (pattern, r, p)
+            [(_, limit, w, _)] = calls
+            assert limit == a * b and (a * b + 1) * p * p < 2 ** (w - 1)
+
+
 def _shared_support_corpus(count, seed):
     """Seeded (pattern, r, p, seed) cases up to 9x9 at six primes, with
     about half the columns copied from one to three shared supports and
@@ -282,15 +432,19 @@ def test_is_base_stops_at_a_ceiling_below_base_size():
 
 
 def test_jacobian_rank_and_is_base_outputs_are_frozen():
-    # every rank and verdict (or refusal) over the corpus, hashed twice:
-    # in full, and with the trial count left out, which pins every verdict
-    # and rank_observed apart from when the trials stop.  The trials-free
-    # digest was recorded before trials stopped at the counting ceiling.
-    # Each run of 100 cases has its own digest too, naming where a change is
-    lines, answers = [], []
+    # every rank and verdict (or refusal) over the corpus, hashed three
+    # times: jacobian_rank alone; in full; and with the trial count left
+    # out, which pins every verdict and rank_observed apart from when the
+    # trials stop.  The trials-free digest was recorded before trials
+    # stopped at the counting ceiling, and it and the jacobian_rank digest
+    # before is_base came to route trials to _complement_rank, which moved
+    # only trial counts.  Each run of 100 cases has its own digest too,
+    # naming where a change is
+    heads, lines, answers = [], [], []
     for pattern, r, p, seed in _shared_support_corpus(2400, 2026):
         head = "%r %d %d %d" % (pattern.cols, r, p,
                                 jacobian_rank(pattern, r, p, seed))
+        heads.append(head)
         try:
             verdict = is_base(pattern, r, p, seed=seed)
         except ContractError as exc:
@@ -301,6 +455,9 @@ def test_jacobian_rank_and_is_base_outputs_are_frozen():
         answer = verdict.as_dict()
         del answer["trials"]
         answers.append("%s %r" % (head, answer))
+    heads_digest = hashlib.sha256("\n".join(heads).encode()).hexdigest()
+    assert heads_digest == ("2b11e6e48715627769f5c7b4c4e15b94"
+                            "11c39815221a5781cf10b20526ef6e63")
     assert_case_digests("oracle", [
         ("cases %d-%d" % (k, k + 99),
          case_digest("\n".join(lines[k:k + 100]).encode()))
@@ -309,8 +466,8 @@ def test_jacobian_rank_and_is_base_outputs_are_frozen():
     answers_digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
     assert answers_digest == ("811cb51a923add0d10300805c468d0f8"
                               "a11c9f614c6a9e5a4527262a7eb7c0aa")
-    assert digest == ("8dcf4aa57a0595f82a6f4ad207fb689e"
-                      "ce15ec0fb27dd931cd074b7c4defae0e")
+    assert digest == ("8f5810b9456b9d1a26a66cf8382ad644"
+                      "cc116a372538f28ca0501734901d5da5")
 
 
 def test_jacobian_rank_runs_only_on_the_packed_kernel(monkeypatch):
