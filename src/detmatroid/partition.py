@@ -11,10 +11,9 @@ import json
 from dataclasses import dataclass
 
 from .errors import ContractError, ParseError
-from .patterns import (Slmf, SupportPattern, _cols_of_rows, _indicator_rows,
-                       _rows_of)
+from .patterns import Slmf, SupportPattern, _cols_of_rows, _indicator_rows
 from .slmf import (RelaxedParams, _check_scan_shape, _induce_slmf,
-                   _unions_cover_excess, is_relaxed_slmf, is_slmf)
+                   _unions_cover_excess, is_relaxed_slmf)
 
 
 @dataclass(frozen=True)
@@ -143,26 +142,20 @@ def parse_certificate(text: str) -> PartitionCertificate:
 
 def validate_certificate(pattern: SupportPattern, cert: PartitionCertificate,
                          r: int) -> None:
-    """Raise ContractError unless cert is a valid rank-r certificate for pattern."""
+    """Raise ContractError unless cert is a valid rank-r certificate for pattern:
+    certificate_from_groups accepts its groups, and each phi is, up to column
+    order, the system its group induces.  That loses no check of a phi: its
+    columns lie in its group's, and it is an SLMF (see _induce_slmf)."""
     if cert.r != r:
         raise ContractError("certificate rank %d differs from r=%d" % (cert.r, r))
-    _check_groups(cert.groups, pattern.n, cert.r)
-    if len(cert.induced) != cert.r:
-        raise ContractError("expected %d induced systems" % cert.r)
+    built = certificate_from_groups(pattern, r, cert.groups)
+    induced = dict(zip(built.groups, built.induced))
+    if len(cert.induced) != r:
+        raise ContractError("expected %d induced systems" % r)
     for g, phi in zip(cert.groups, cert.induced):
-        _relaxed_group(pattern, g, cert.r)
-        if phi.m != pattern.m or phi.r != cert.r:
-            raise ContractError("induced system shape mismatch")
-        ok, bad = is_slmf(phi)
-        if not ok:
-            raise ContractError("induced system fails at columns %s" % (list(bad),))
-        # every induced column must sit inside some group column support
-        for pmask in phi.cols:
-            if not any(pmask & ~pattern.cols[j - 1] == 0 for j in g):
-                raise ContractError(
-                    "induced column %s not contained in any group support"
-                    % (list(_rows_of(pmask)),)
-                )
+        if sorted(phi.cols) != sorted(induced[tuple(sorted(g))].cols):
+            raise ContractError("phi of group %s is not the system the group "
+                                "induces" % list(g))
 
 
 def _excess(mask: int, r: int) -> int:
@@ -183,13 +176,13 @@ def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | 
     the group size.  Only the positive-excess columns, which sort first,
     are searched: adding a zero-excess column to S raises no excess and
     shrinks no union bound, and once the last positive-excess column is
-    placed every group is at quota, so the zero-excess columns all join
-    the first group.  The recursion is
-    therefore at most r(m-r) deep.  At a leaf where every group meets the
-    quota, the prune implies the relaxed condition for each group (the worst
-    row set is always a union of group columns), so the leaf is a
-    certificate; building it re-runs the relaxed check, the same walk over
-    all of a group's sets, and a failure there raises.  census.certify reads
+    placed every group is at quota (the excesses sum to r times it, and no
+    placement passes it), so the zero-excess columns all join the first
+    group.  The recursion is therefore at most r(m-r) deep, and at a leaf
+    the prune implies the relaxed condition for each group (the worst row
+    set is always a union of group columns), so the leaf is a certificate;
+    building it re-runs the relaxed check, the same walk over all of a
+    group's sets, and a failure there raises.  census.certify reads
     the relaxed (r,r,m) stage off a certificate, so that check stays, and
     with it the relaxed check's refusals: r < m, and m within
     RELAXED_SCAN_CEILING.  None means the search was exhaustive and no
@@ -214,9 +207,6 @@ def partition_search(pattern: SupportPattern, r: int) -> PartitionCertificate | 
 
     def search(k: int, used: int) -> PartitionCertificate | None:
         if k == npos:
-            # an unopened group has excess 0 < quota
-            if any(e != quota for e in group_excess):
-                return None
             groups: list[list[int]] = [[] for _ in range(r)]
             for pos in range(n):
                 groups[assignment[pos]].append(order[pos] + 1)

@@ -320,7 +320,10 @@ def _induce_slmf(group: SupportPattern, r: int) -> Slmf:
     result always passes is_slmf.  On the union I of a nonempty set S of
     induced columns, each source column holds its r stem rows plus the added
     row of each of its columns in S, so the excesses on I sum to at least
-    |S|, and the relaxed bound gives |S| <= #I - r.
+    |S|, and the relaxed bound gives |S| <= #I - r.  Conversely, the induced
+    columns of a set S of positive-excess columns number sum_S e_j and cover
+    the union of S: a group whose excesses sum to m-r and whose system passes
+    is_slmf meets is_relaxed_slmf's slack-1 bound, so it is relaxed (1,r,m).
     """
     cols = []
     for cmask in group.cols:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -392,6 +393,27 @@ def test_crosscheck_non_bases_stop_at_the_counting_ceiling(monkeypatch):
     for pattern, r, verdict in non_bases:
         assert verdict.p == DEFAULT_PRIME and verdict.trials == 1
         assert verdict.rank_observed == _rank_ceiling(pattern, r) < 14
+
+
+def test_crosscheck_records_each_disagreement(monkeypatch):
+    # an oracle that calls the first (2,2,1) pattern, the spanning tree on
+    # cells (1,1), (1,2) and (2,1), a non-base
+    calls = []
+
+    def wrong_first(pattern, r, *args):
+        verdict = is_base(pattern, r, *args)
+        calls.append(pattern)
+        if len(calls) == 1:
+            verdict = dataclasses.replace(verdict, verdict="not_base")
+        return verdict
+
+    monkeypatch.setattr(census, "is_base", wrong_first)
+    report = known_facts_crosscheck(2, 2, 1)
+    assert report.cases == len(calls) == 4 and not report.consistent
+    (record,) = report.as_dict()["disagreements"]
+    assert record["pattern"] == {"m": 2, "n": 2, "columns": [[1, 2], [1]]}
+    assert record["combinatorial"] is True
+    assert record["oracle"]["verdict"] == "not_base"
 
 
 def test_oracle_seeds_of_the_crosscheck_and_census_are_frozen(monkeypatch):

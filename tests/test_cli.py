@@ -19,7 +19,7 @@ from conftest import (FULLY_REDUCIBLE_BASE_6X5, REDUCED_BASE_5X5,
 from dense import random_rank_r
 from detmatroid import (DEFAULT_PRIME, OracleVerdict, PartitionCertificate,
                         Slmf, ViolationWitness, certificate_from_groups,
-                        certify, emit_pattern, partition_search)
+                        certify, emit_pattern, is_slmf, partition_search)
 from detmatroid.oracle import DEFAULT_TRIALS
 from detmatroid import census, cli
 from detmatroid.cli import main
@@ -129,18 +129,47 @@ def test_partition_search_and_validate_modes(tmp_path, capsys):
 
 def test_partition_validates_the_24_row_star_quickly(tmp_path, capsys):
     # one full column and 23 singletons at r=1: the one group induces a
-    # 23-column star, whose covering condition the surplus matching decides
+    # 23-column star.  Validation rebuilds it from the group, and
+    # check-slmf decides its covering condition by surplus matching
     path = _write_pattern(tmp_path, "star.txt", 24,
                           [list(range(1, 25))] + [[i] for i in range(2, 25)])
     code, out, _ = _run(capsys, ["partition", "--pattern", path, "--r", "1"])
     assert code == 0
+    cert = json.loads(out)["certificate"]
+    cert_path, star_path = tmp_path / "cert.json", tmp_path / "phi.txt"
+    cert_path.write_text(json.dumps(cert))
+    star_path.write_text("".join(" ".join(map(str, row)) + "\n"
+                                 for row in cert["phis"][0]))
+    for argv, answer in (
+            (["partition", "--pattern", path, "--certificate", str(cert_path)],
+             {"valid": True, "certificate": cert}),
+            (["check-slmf", "--pattern", str(star_path)],
+             {"slmf": True, "witness_columns": None})):
+        start = time.perf_counter()
+        code, out, _ = _run(capsys, argv + ["--r", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, json.loads(out)) == (0, answer)
+
+
+def test_partition_refuses_a_phi_its_group_does_not_induce(tmp_path,
+                                                           capsys):
+    # on the README's omega, group [1, 2, 3] induces [1,2,3], [1,2,4],
+    # [1,2,5] and [4,5,6]; the stems {4, 5} give another SLMF inside the
+    # group's supports, [1,4,5], [2,4,5], [3,4,5] and [4,5,6], and a
+    # certificate carrying it is refused with the group named
+    path = _write_pattern(tmp_path, "omega.txt", 6, FULLY_REDUCIBLE_BASE_6X5)
+    cert = certificate_from_groups(make_pattern(6, FULLY_REDUCIBLE_BASE_6X5),
+                                   2, [[1, 2, 3], [4, 5]]).as_dict()
+    stems = [[1, 4, 5], [2, 4, 5], [3, 4, 5], [4, 5, 6]]
+    assert is_slmf(Slmf.from_columns(2, 6, stems)) == (True, None)
+    cert["phis"][0] = [[int(i in col) for col in stems] for i in range(1, 7)]
     cert_path = tmp_path / "cert.json"
-    cert_path.write_text(json.dumps(json.loads(out)["certificate"]))
-    start = time.perf_counter()
-    code, out, _ = _run(capsys, ["partition", "--pattern", path, "--r", "1",
-                                 "--certificate", str(cert_path)])
-    assert time.perf_counter() - start < 1.0
-    assert code == 0 and json.loads(out)["valid"]
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = _run(capsys, ["partition", "--pattern", path, "--r", "2",
+                                   "--certificate", str(cert_path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: phi of group [1, 2, 3] is not the system the "
+                   "group induces\n")
 
 
 def test_partition_refuses_prefer_same_phi(tmp_path, capsys):
@@ -514,6 +543,20 @@ def test_complete_missing_observation_exits_two(tmp_path, capsys):
                                    "--r", "2", "--certificate", str(cpath),
                                    "--observations", str(opath)])
     assert code == 2 and out == ""
+
+
+def test_complete_names_a_malformed_observation_line(tmp_path, capsys):
+    ppath, cpath, opath, _ = _completion_files(tmp_path)
+    first, *rest = opath.read_text().splitlines()
+    for line, message in (("1,1", "expected i,j,value"),
+                          ("1,a,5", "bad indices"),
+                          (first, "duplicate entry (1,1)")):
+        opath.write_text("\n".join([first, line] + rest) + "\n")
+        code, out, err = _run(capsys, ["complete", "--pattern", str(ppath),
+                                       "--r", "2", "--certificate", str(cpath),
+                                       "--observations", str(opath)])
+        assert (code, out) == (2, "")
+        assert err == "error: observations line 2: %s\n" % message
 
 
 def test_complete_degenerate_observations_exit_one(tmp_path, capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -174,6 +174,64 @@ def test_completion_flags_degenerate_observations_as_not_generic():
     with pytest.raises(GenericityError) as info:
         complete_matrix(pattern, 2, cert, _observe(pattern, x), field)
     assert info.value.phi is not None
+
+
+def test_completion_refuses_degenerate_rank_r_data_at_stages_2_and_3():
+    # rank-2 data that stage 1 accepts: a zero row 4 leaves the normals
+    # spanning too little, and row 4 a multiple of row 2 makes column 3,
+    # on rows {2, 4}, a singular system
+    pattern = make_pattern(6, FULLY_REDUCIBLE_BASE_6X5)
+    field = PrimeField(DEFAULT_PRIME)
+    cert = partition_search(pattern, 2)
+    for seed in range(3):
+        x = random_rank_r(6, 5, 2, seed=seed)
+        for row, message in (
+                ([0] * 5, "normals cut the column space to dimension 3, "
+                          "expected 2"),
+                ([field.reduce(3 * v) for v in x[1]],
+                 "column 3 admits no unique reconstruction")):
+            with pytest.raises(GenericityError) as info:
+                complete_matrix(pattern, 2, cert,
+                                _observe(pattern, x[:3] + [row] + x[4:]),
+                                field)
+            assert str(info.value) == message and info.value.phi is None
+
+
+def _r_closure(pattern, r):
+    """The cells of pattern and every cell (i, j) that r rows R of column j
+    and r columns C of row i, with R x C, fill, repeated to a fixpoint."""
+    known, grew = set(pattern.cells()), True
+    while grew:
+        grew = False
+        for i, j in product(range(1, pattern.m + 1), range(1, pattern.n + 1)):
+            rows = [a for a in range(1, pattern.m + 1) if (a, j) in known]
+            cols = [b for b in range(1, pattern.n + 1) if (i, b) in known]
+            if (i, j) not in known and any(
+                    set(product(R, C)) <= known
+                    for R in combinations(rows, r)
+                    for C in combinations(cols, r)):
+                known.add((i, j))
+                grew = True
+    return known
+
+
+def test_stage_1_completes_certified_orbits_the_closure_misses():
+    # among the 210 certified orbits of (5,5,2), (5,6,2), (6,5,2), (6,5,3),
+    # (6,6,2) and (6,6,3), these two are the ones stage 1 completes and the
+    # r-closure does not: it adds no cell to either, so propagating along
+    # the closure would not complete them
+    field = PrimeField(DEFAULT_PRIME)
+    for m, r, cols in ((6, 2, [[4, 5, 6], [2, 3, 6], [1, 3, 5], [1, 2, 4],
+                               range(1, 7)]),
+                       (6, 3, [[3, 4, 5, 6], [1, 2, 5, 6], [1, 2, 3, 4],
+                               range(1, 7), range(1, 7)])):
+        pattern = make_pattern(m, cols)
+        assert _r_closure(pattern, r) == set(pattern.cells())
+        cert = partition_search(pattern, r)
+        for seed in range(5):
+            x = random_rank_r(m, pattern.n, r, seed=seed)
+            assert complete_matrix(pattern, r, cert, _observe(pattern, x),
+                                   field) == x
 
 
 def test_completion_names_a_certificate_column_stage_1_cannot_use():

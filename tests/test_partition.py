@@ -174,6 +174,33 @@ def test_parse_certificate_rejects_malformed(reduced_base):
         row[row.index(int(wrong))] = wrong
         with pytest.raises(ParseError, match=r"phis\[2\] row 3: expected 0/1"):
             parse_certificate(json.dumps(d))
+    # each malformed field is named; a phi of the wrong shape is refused
+    # by the SLMF's own check
+    good = certificate_from_groups(reduced_base, 2,
+                                   REDUCED_BASE_5X5_GROUPS).as_dict()
+    assert parse_certificate(json.dumps(good)).groups == ((1, 3, 4), (2, 5))
+    phi = good["phis"][0]
+    for change, message in [
+            ({"r": 0}, "^field 'r': expected a positive integer$"),
+            ({"r": True}, "^field 'r': expected a positive integer$"),
+            ({"groups": {}}, "^fields 'groups' and 'phis': expected lists$"),
+            ({"phis": "[]"}, "^fields 'groups' and 'phis': expected lists$"),
+            ({"groups": [[1, 3, 4], [2, 0]]},
+             r"^groups\[2\]: expected a list of positive integers$"),
+            ({"groups": [[1, 3, 4], [2, False]]},
+             r"^groups\[2\]: expected a list of positive integers$"),
+            ({"phis": [phi, []]}, r"^phis\[2\]: expected an indicator matrix$"),
+            ({"phis": [phi, 1]}, r"^phis\[2\]: expected an indicator matrix$"),
+            ({"phis": [phi, [[1, 0], [1]]]}, r"^phis\[2\] row 2: ragged row$"),
+            ({"phis": [phi, phi[:4]]},
+             r"^phis\[2\]: expected m-r=2 columns, got 3$"),
+            ({"same_phi": 0}, "^field 'same_phi': expected a boolean$")]:
+        with pytest.raises(ParseError, match=message):
+            parse_certificate(json.dumps({**good, **change}))
+    for text, message in [("[2]", "^top level: expected an object$"),
+                          ('{"r": 2,', "^invalid JSON: ")]:
+        with pytest.raises(ParseError, match=message):
+            parse_certificate(text)
 
 
 def test_certificate_from_groups_names_malformed_groups(reduced_base):
@@ -213,6 +240,10 @@ def test_validate_certificate_rejects_tampering(reduced_base):
     other = make_pattern(5, RELAXED_NONBASE_5X5)
     with pytest.raises(ContractError):
         validate_certificate(other, cert, 2)
+    # nor one short of a phi
+    with pytest.raises(ContractError, match="^expected 2 induced systems$"):
+        validate_certificate(reduced_base, PartitionCertificate(
+            2, cert.groups, cert.induced[:1]), 2)
     # nor one of another rank than the caller asks for
     for r in (1, 3):
         with pytest.raises(ContractError,

@@ -145,17 +145,28 @@ def test_parse_indicator_errors_name_the_line():
         parse_pattern("1 2\n")
     with pytest.raises(ParseError):
         parse_pattern("")
+    with pytest.raises(ParseError,
+                       match="^line 2: blank line inside indicator matrix$"):
+        parse_pattern("1 0\n\n0 1\n")
 
 
 def test_parse_json_errors():
     with pytest.raises(ParseError):
         parse_pattern('{"m": 2, "n": 1}')
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        parse_pattern('{"m": 2, "n": 1,')
     with pytest.raises(ParseError, match="columns"):
         parse_pattern('{"m": 2, "n": 1, "columns": [[1, 1]]}')
     with pytest.raises(ParseError, match="columns"):
         parse_pattern('{"m": 2, "n": 1, "columns": [[3]]}')
     with pytest.raises(ParseError):
         parse_pattern('{"m": 2, "n": 2, "columns": [[1]]}')
+    for n in ("-1", '"1"', "true"):
+        with pytest.raises(ParseError,
+                           match="^field 'n': expected a nonnegative integer$"):
+            parse_pattern('{"m": 2, "n": %s, "columns": [[1]]}' % n)
+    with pytest.raises(ParseError, match=r"^columns\[2\]: expected a list$"):
+        parse_pattern('{"m": 2, "n": 2, "columns": [[1], 2]}')
     # a bool, a float and a repeated index in a column are refused by name
     for col in ("[true]", "[1.0]", "[2, 2]"):
         with pytest.raises(ParseError, match=r"^columns\[1\]: "):

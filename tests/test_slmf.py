@@ -274,6 +274,38 @@ def test_induced_systems_always_pass_is_slmf():
         assert is_slmf(phi) == (True, None)
 
 
+def test_relaxed_group_is_a_sum_of_m_minus_r_whose_system_covers():
+    # the equivalence that lets validate_certificate rebuild a phi instead
+    # of running is_slmf on it: a group is relaxed (1,r,m) exactly when its
+    # excesses sum to m-r and its induced system passes is_slmf.  Most draws
+    # have that sum, the only case where is_slmf decides, and half take
+    # their rows from a prefix of [m] so that columns overlap and fail
+    rng = random.Random(35)
+    verdicts = {}
+    for _ in range(5000):
+        m = rng.randint(3, 12)
+        r = rng.randint(1, m - 1)
+        sizes, left = [], m - r
+        if rng.random() < 0.8:
+            while left:
+                e = rng.randint(1, left)
+                sizes.append(r + e)
+                left -= e
+            sizes += [rng.randint(1, r) for _ in range(rng.randint(0, 2))]
+        else:
+            sizes = [rng.randint(1, m) for _ in range(rng.randint(1, 4))]
+        top = m if rng.random() < 0.5 else rng.randint(max(sizes), m)
+        cols = [rng.sample(range(1, top + 1), k) for k in sizes]
+        group = make_pattern(m, cols)
+        at_sum = sum(max(len(c) - r, 0) for c in cols) == m - r
+        relaxed = is_relaxed_slmf(group, RelaxedParams(1, r))[0]
+        assert relaxed == (at_sum and is_slmf(_induce_slmf(group, r))[0]), (
+            m, r, cols)
+        verdicts[at_sum, relaxed] = verdicts.get((at_sum, relaxed), 0) + 1
+    assert verdicts[True, True] >= 200 and verdicts[True, False] >= 200
+    assert verdicts[False, False] > 0
+
+
 def _check_against_scan(pattern, params):
     got = is_relaxed_slmf(pattern, params)
     assert got == _is_relaxed_slmf_by_scan(pattern, params), (
