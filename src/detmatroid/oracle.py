@@ -23,7 +23,8 @@ from .patterns import SupportPattern, _row_masks
 from .seeding import derive_seed
 
 DEFAULT_TRIALS = 3
-# measured break-even: is_base uses the complement if this*(m-r)(n-r) < |Omega|
+# is_base uses the complement if this*(m-r)(n-r) < |Omega|: the break-even
+# measured before the Schur rows were sorted, which moved it toward 4
 COMPLEMENT_RATIO = 3
 
 
@@ -82,6 +83,9 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
     block i is the sum of (y_j mod p) * L[i,:] packed at the Schur slots of
     column j: the packed L[i,:] times one packed vector of the y_j mod p,
     shared by the support's blocks (no two products meet in a slot).
+    The Schur rows are eliminated shortest first: the pivot slots depend
+    only on the row space, and a shorter pivot updates rows without
+    lengthening them, where the first in build order may reach far right.
     Nothing is reduced between the stages: a block slot takes r updates
     from below p and a Schur slot at most width from below p^2, so
     w = linalg._slot_width(p, r + width).  L and R are drawn entry by
@@ -151,6 +155,7 @@ def jacobian_rank(pattern: SupportPattern, r: int, p: int = DEFAULT_PRIME,
         for i in members:
             tail = _pack(left[i], w)
             schur.extend(y * tail for y in ys)
+    schur.sort(key=int.bit_length)
     return total + len(kernel(schur, width, p, w)[0])
 
 

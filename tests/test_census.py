@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -12,11 +13,13 @@ import pytest
 
 from conftest import (RELAXED_NONBASE_5X5, assert_case_digests, case_digest,
                       make_pattern, run_python)
-from detmatroid import (DEFAULT_PRIME, CapacityError, ContractError,
-                        SupportPattern, canonical_form, classify_pattern,
-                        contains_full_bipartite, enumerate_patterns, is_base,
+from detmatroid import (DEFAULT_PRIME, CapacityError, CensusRow,
+                        ContractError, SupportPattern, canonical_form,
+                        classify_pattern, contains_full_bipartite,
+                        emit_pattern, enumerate_patterns, is_base,
                         is_relaxed_slmf, is_spanning_tree,
-                        known_facts_crosscheck, verify_conjecture)
+                        known_facts_crosscheck, reduce_pattern,
+                        verify_conjecture)
 from detmatroid import census
 from detmatroid.oracle import _rank_ceiling
 
@@ -312,6 +315,44 @@ def test_census_5_5_2_finds_one_stable_counterexample(reduced_base):
     info = report.counterexamples[0]
     assert info["reverified"]["trials"] == 10
     assert len(set(info["reverified"]["primes"])) == 3
+
+
+def test_census_row_is_consistent_only_when_all_three_routes_agree():
+    # each clause of CensusRow.consistent alone rules out one row of the
+    # table: a relaxed row without a partition, a partition without an
+    # oracle base, and an oracle base that is neither relaxed nor
+    # partitionable
+    pattern = make_pattern(2, [[1, 2], [1]])
+    for relaxed, partition, base in itertools.product((False, True), repeat=3):
+        row = CensusRow(pattern, 1, relaxed, partition, base, None)
+        assert row.consistent == (relaxed == partition == base), (
+            relaxed, partition, base)
+
+
+def test_census_reports_an_oracle_base_that_is_not_relaxed(monkeypatch):
+    # an oracle that calls one non-relaxed (5,6,2) orbit a base, at every
+    # prime of the re-verification too, makes that orbit the census's one
+    # counterexample; the true census of (5,6,2) is consistent
+    orbit = SupportPattern(5, 6, (28, 28, 28, 19, 19, 19))
+    forged = reduce_pattern(orbit, 2)[0]
+
+    def forging_is_base(pattern, r, *args):
+        verdict = is_base(pattern, r, *args)
+        if pattern == forged:
+            verdict = dataclasses.replace(
+                verdict, verdict="base", rank_observed=pattern.size())
+        return verdict
+
+    assert verify_conjecture(5, 6, 2).consistent
+    monkeypatch.setattr(census, "is_base", forging_is_base)
+    report = verify_conjecture(5, 6, 2)
+    assert not report.consistent
+    (info,) = report.counterexamples
+    assert info["pattern"] == json.loads(emit_pattern(orbit, "json"))
+    row = info["row"]
+    assert (row["is_relaxed_rrm"], row["has_partition"],
+            row["oracle_base"]) == (False, False, True)
+    assert info["reverified"]["oracle_base"] is True
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -139,6 +139,37 @@ def test_partial_packed_kernel_matches_elimination_core():
     assert near_p_rank == 60 and tall == 40 and 0 < wide <= 31
 
 
+def test_packed_kernel_pivots_do_not_depend_on_row_order():
+    # the pivot slots are the echelon form's pivot columns, a function of
+    # the row space alone, and the survivors span what is left of it: any
+    # row order, the oracle's shortest-first Schur order included, gives
+    # the same pivots and the same survivor rank.  The survivor count
+    # itself may differ, since a long pivot keeps nonzero what a short one
+    # would clear
+    rng = random.Random(17)
+    deficient = 0
+    for t in range(2000):
+        q = (2, 3, 31, DEFAULT_PRIME)[t % 4]
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        a = _int_matrix(rows, cols, q, rng)
+        w = 2 * q.bit_length() + cols.bit_length() + 1
+        packed = [_pack(row, q, w) for row in a]
+        shuffled = rng.sample(packed, rows)
+        orders = (packed, shuffled, sorted(packed, key=int.bit_length))
+        ranks = set()
+        for limit in {1, rng.randint(1, cols), cols}:
+            first = None
+            for order in orders:
+                pivots, rest = _eliminate_mod_p(order, limit, q, w)
+                again = _eliminate_mod_p(rest, cols - limit, q, w)[0]
+                first = first or (pivots, len(again))
+                assert (pivots, len(again)) == first, (a, q, limit)
+                ranks.add(len(pivots) + len(again))
+        assert len(ranks) == 1
+        deficient += ranks.pop() < min(rows, cols)
+    assert deficient >= 1000
+
+
 def test_det_matches_leibniz_and_rules():
     rng = random.Random(4)
     f = PrimeField(101)

@@ -8,8 +8,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import (assert_case_digests, case_digest, make_pattern,
-                      mat_transpose)
+from conftest import (assert_case_digests, case_digest, draw_base_size,
+                      make_pattern, mat_transpose)
 from dense import random_matrix, random_rank_r
 from detmatroid import (DEFAULT_PRIME, ContractError, PrimeField,
                         SupportPattern, is_base, jacobian_rank, linalg,
@@ -167,6 +167,28 @@ def test_jacobian_rank_matches_dense_reference(monkeypatch):
         assert (jacobian_rank(pattern, r, p, seed)
                 == _jacobian_rank_dense(pattern, r, p, seed)), (pattern, r, p)
     assert calls[-1][0] > 100
+
+
+def test_jacobian_rank_matches_dense_reference_at_base_size():
+    # base-size patterns whose lines all hold at least r+1 cells, where the
+    # Schur stage is widest and its rows are eliminated shortest first:
+    # the rank must be the dense Jacobian's at the same point.  p = 7 makes
+    # rank-deficient points common; at 2^31 - 1 a shortfall is a non-base
+    rng = random.Random(83)
+    seen = {}
+    for t in range(300):
+        m, n, r = rng.randint(10, 14), rng.randint(10, 14), rng.randint(2, 4)
+        p = (7, 31, DEFAULT_PRIME)[t % 3]
+        pattern = draw_base_size(rng, m, n, r, True)
+        seed = rng.randrange(2 ** 32)
+        got = jacobian_rank(pattern, r, p, seed)
+        assert got == _jacobian_rank_dense(pattern, r, p, seed), (
+            pattern, r, p, seed)
+        key = (p, got == pattern.size())
+        seen[key] = seen.get(key, 0) + 1
+    assert seen[7, True] >= 10 and seen[7, False] >= 10, seen
+    assert seen[DEFAULT_PRIME, True] >= 50, seen
+    assert sum(seen.get((p, False), 0) for p in (31, DEFAULT_PRIME)) >= 10, seen
 
 
 def test_jacobian_rank_eliminates_each_distinct_support_once(monkeypatch):
